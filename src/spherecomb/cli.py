@@ -25,20 +25,8 @@ from .equidist import DEFAULT_BUDGET, TestFunction
 from .errors import SpherecombError
 from .presets import Preset, preset, preset_names
 
-WORKERS_ENV = "SPHERECOMB_WORKERS"
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            w = int(env)
-        except ValueError:
-            raise SpherecombError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        if w < 1:
-            raise SpherecombError(f"{WORKERS_ENV} must be positive, got {w}")
-        return w
-    return os.cpu_count() or 1
+# Orbit reports echo the former pool size so their bytes stay unchanged; no longer an input.
+_ECHOED_WORKERS = {"workers": os.cpu_count() or 1}
 
 
 def _parse_basepoint(spec, dim: int) -> TorusPoint:
@@ -243,7 +231,6 @@ def _cmd_equidist(args) -> int:
         "samples": 2000,
         "seed": 0,
         "budget": DEFAULT_BUDGET,
-        "workers": None,
         "forward": False,
         "output": None,
         "json": False,
@@ -255,7 +242,6 @@ def _cmd_equidist(args) -> int:
     f = _parse_function(cfg["k"], cfg["function"], dim)
     n_max = int(cfg["n_max"])
     budget = int(cfg["budget"])
-    workers = int(cfg["workers"]) if cfg["workers"] is not None else _default_workers()
     inverse = not cfg["forward"]
     mode = cfg["mode"]
     if mode not in ("exact", "mc", "auto"):
@@ -264,9 +250,7 @@ def _cmd_equidist(args) -> int:
     if mode == "auto":
         mode = "exact" if sum(counts) <= budget else "mc"
     if mode == "exact":
-        rep = equidist.sphere_series(
-            ps.graph, x, f, n_max, inverse=inverse, budget=budget, workers=workers
-        )
+        rep = equidist.sphere_series(ps.graph, x, f, n_max, inverse=inverse, budget=budget)
         sph, ces, errs = list(rep.spherical), list(rep.cesaro), [None] * n_max
     else:
         data = _spectral_for(ps)
@@ -277,7 +261,7 @@ def _cmd_equidist(args) -> int:
         **cfg,
         "command": "equidist",
         "mode": mode,
-        "workers": workers,
+        **_ECHOED_WORKERS,
         "function": _function_echo(f),
         "k": None,
     }
@@ -327,7 +311,6 @@ def _cmd_kappa(args) -> int:
         "start": None,
         "end": None,
         "budget": DEFAULT_BUDGET,
-        "workers": None,
         "output": None,
     }
     cfg = _resolve(args, defaults)
@@ -335,7 +318,6 @@ def _cmd_kappa(args) -> int:
     dim = ps.system.dim
     x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
     f = _parse_function(cfg["k"], cfg["function"], dim)
-    workers = int(cfg["workers"]) if cfg["workers"] is not None else _default_workers()
     data = _spectral_for(ps)
     res = equidist.kappa_average(
         ps.graph,
@@ -346,10 +328,9 @@ def _cmd_kappa(args) -> int:
         start=None if cfg["start"] is None else int(cfg["start"]),
         end=None if cfg["end"] is None else int(cfg["end"]),
         budget=int(cfg["budget"]),
-        workers=workers,
     )
     report = {
-        "config": {**cfg, "command": "kappa", "workers": workers,
+        "config": {**cfg, "command": "kappa", **_ECHOED_WORKERS,
                    "function": _function_echo(f), "k": None},
         "results": {
             "basepoint_fix64": list(x.coords),
@@ -371,7 +352,6 @@ def _cmd_markov_cesaro(args) -> int:
         "start": None,
         "end": None,
         "budget": DEFAULT_BUDGET,
-        "workers": None,
         "output": None,
     }
     cfg = _resolve(args, defaults)
@@ -379,17 +359,16 @@ def _cmd_markov_cesaro(args) -> int:
     dim = ps.system.dim
     x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
     f = _parse_function(cfg["k"], cfg["function"], dim)
-    workers = int(cfg["workers"]) if cfg["workers"] is not None else _default_workers()
     data = _spectral_for(ps)
     model = markov.build_markov(ps.graph, data)
     start = ps.graph.initial if cfg["start"] is None else int(cfg["start"])
     end = ps.graph.initial if cfg["end"] is None else int(cfg["end"])
     res = equidist.markov_cesaro(
         model, x, f, int(cfg["n_max"]), start, end,
-        budget=int(cfg["budget"]), workers=workers,
+        budget=int(cfg["budget"]),
     )
     report = {
-        "config": {**cfg, "command": "markov-cesaro", "workers": workers,
+        "config": {**cfg, "command": "markov-cesaro", **_ECHOED_WORKERS,
                    "function": _function_echo(f), "k": None,
                    "start": start, "end": end},
         "results": {
@@ -532,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--workers", type=int)
     sp.add_argument(
         "--forward", action="store_const", const=True,
         help="average over w.x instead of w^-1.x",
@@ -546,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=int)
     sp.add_argument("--end", type=int)
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--workers", type=int)
     sp.set_defaults(func=_cmd_kappa)
 
     sp = sub.add_parser("markov-cesaro", help="Markov-weighted Cesaro average")
@@ -555,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=int)
     sp.add_argument("--end", type=int)
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--workers", type=int)
     sp.set_defaults(func=_cmd_markov_cesaro)
 
     sp = sub.add_parser("tv", help="distance of the sampling measure from counting measure")

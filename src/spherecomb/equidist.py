@@ -3,10 +3,11 @@
 Spherical averages push a basepoint around by the inverses of all group
 elements of one length (enumerated as combing paths) and average a test
 function; Cesaro, counting-weighted and Markov-weighted variants follow.
-All exact-mode enumeration shares one depth-first engine that records the
-orbit coordinates per path length as unsigned 64-bit arrays, so a whole
-family of characters can be averaged from a single pass.  Sums are taken in
-DFS order, block-wise, with compensated accumulation across blocks.
+All exact-mode enumeration shares one level-synchronous kernel that records
+the orbit coordinates per path length as unsigned 64-bit arrays, so a whole
+family of characters can be averaged from a single pass.  Rows, and so sums,
+are in path-lexicographic edge order; sums are taken block-wise, with
+compensated accumulation across blocks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.
@@ -15,7 +16,6 @@ follow a single Markov ray; both are deterministic given a seed.
 from __future__ import annotations
 
 import cmath
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,11 +75,6 @@ class TestFunction:
         return out
 
 
-def haar_integral(f: TestFunction) -> complex:
-    """Integral of f over the torus (the trivial-character coefficient)."""
-    return f.haar
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration engine
 
@@ -130,79 +125,6 @@ def _matmul_mod(left, right):
     )
 
 
-def _dfs_tables(
-    graph: GraphStructure,
-    n_max: int,
-    start: int,
-    states,  # initial state: coords tuple (inverse mode) or matrix rows (forward mode)
-    x_coords,  # None in inverse mode; basepoint coords in forward mode
-    end: int | None,
-    acts,
-    arrays: list[np.ndarray],
-    idx: list[int],
-    depth_offset: int = 0,
-) -> None:
-    """Iterative DFS recording orbit coordinates per depth, in edge order."""
-    d = graph.system.dim
-    edges = graph.edges
-    out = graph.out_edges
-    forward = x_coords is not None
-
-    def record(depth: int, state) -> None:
-        coords = _apply_point(state, x_coords) if forward else state
-        a = arrays[depth]
-        i = idx[depth]
-        for c in range(d):
-            a[i, c] = coords[c]
-        idx[depth] += 1
-
-    if end is None or start == end:
-        record(depth_offset, states)
-    if n_max == 0:
-        return
-    state_stack = [states]
-    iters = [iter(out[start])]
-    while iters:
-        it = iters[-1]
-        advanced = False
-        for ei in it:
-            e = edges[ei]
-            rows = acts[ei]
-            st = (
-                _apply_point(rows, state_stack[-1])
-                if not forward
-                else _matmul_mod(state_stack[-1], rows)
-            )
-            depth = len(iters)
-            if end is None or e.dst == end:
-                record(depth + depth_offset, st)
-            if depth < n_max:
-                state_stack.append(st)
-                iters.append(iter(out[e.dst]))
-                advanced = True
-                break
-        if not advanced:
-            iters.pop()
-            if state_stack and len(state_stack) > len(iters):
-                state_stack.pop()
-
-
-def _table_worker(payload):
-    (graph, n_rel, entries, x_coords, end, inverse) = payload
-    acts = _edge_actions(graph, inverse)
-    d = graph.system.dim
-    counts = _backward_counts(graph, n_rel, target=end)
-    sizes = [0] * (n_rel + 1)
-    for v, _ in entries:
-        for m in range(n_rel + 1):
-            sizes[m] += counts[m][v]
-    arrays = [np.empty((sizes[m], d), dtype=np.uint64) for m in range(n_rel + 1)]
-    idx = [0] * (n_rel + 1)
-    for v, st in entries:
-        _dfs_tables(graph, n_rel, v, st, x_coords, end, acts, arrays, idx)
-    return arrays
-
-
 def orbit_tables(
     graph: GraphStructure,
     x: TorusPoint,
@@ -212,13 +134,14 @@ def orbit_tables(
     end: int | None = None,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> list[np.ndarray]:
     """Orbit coordinates w^-1.x (or w.x) for every path w from start, by length.
 
-    Returns one (count_n, d) uint64 array per length n = 0..n_max, rows in DFS
-    edge order.  The enumeration tree is walked once; with ``workers > 1`` it
-    is partitioned by first edge, which leaves the row order unchanged.
+    Returns one (count_n, d) uint64 array per length n = 0..n_max, rows in
+    path-lexicographic edge order (paths ending at ``end`` only, if given).
+    The paths are enumerated level-synchronously: each level's frontier is
+    expanded parent by parent, out-edges in edge order, with every step an
+    exact matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
     """
     if x.dim != graph.system.dim:
         raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {graph.system.dim}")
@@ -228,57 +151,46 @@ def orbit_tables(
     total_nodes = sum(counts_any[m][start] for m in range(n_max + 1))
     if total_nodes > budget:
         raise BudgetExceededError(total_nodes, budget)
-    counts = (
-        counts_any if end is None else _backward_counts(graph, n_max, target=end)
-    )
     d = graph.system.dim
-    arrays = [
-        np.empty((counts[m][start], d), dtype=np.uint64) for m in range(n_max + 1)
-    ]
+    # Per node the state is w^-1.x as a (d, 1) column, or in forward mode the
+    # transpose of w, which a child's edge action A_e updates as A_e^T . state.
+    acts = np.array(_edge_actions(graph, inverse), dtype=np.uint64).reshape(-1, d, d)
     if inverse:
-        root_state = x.coords
-        x_coords = None
+        state = np.array(x.coords, dtype=np.uint64).reshape(1, d, 1)
     else:
-        root_state = tuple(tuple(r) for r in GroupMatrix.identity(d).rows)
-        x_coords = x.coords
+        acts = acts.transpose(0, 2, 1)
+        state = np.eye(d, dtype=np.uint64).reshape(1, d, d)
+        x_col = np.array(x.coords, dtype=np.uint64)
+    out = graph.out_edges
+    dst = np.array([e.dst for e in graph.edges], dtype=np.intp)
+    degree = np.array([len(o) for o in out], dtype=np.intp)
+    verts = np.array([start], dtype=np.intp)
 
-    acts = _edge_actions(graph, inverse)
-    if workers <= 1 or n_max < 2 or total_nodes < 50_000:
-        idx = [0] * (n_max + 1)
-        _dfs_tables(graph, n_max, start, root_state, x_coords, end, acts, arrays, idx)
-        return arrays
+    def record(state, verts) -> np.ndarray:
+        if end is not None:
+            state = state[verts == end]
+        return state.reshape(-1, d) if inverse else state.transpose(0, 2, 1) @ x_col
 
-    # parallel: the root is handled here, each first edge spawns a subtree task
-    idx = [0] * (n_max + 1)
-    if end is None or start == end:
-        root_arr = np.empty((1, d), dtype=np.uint64)
-        coords = _apply_point(root_state, x_coords) if x_coords is not None else root_state
-        root_arr[0] = coords
-    else:
-        root_arr = np.empty((0, d), dtype=np.uint64)
-    prefix_entries = []
-    for ei in graph.out_edges[start]:
-        e = graph.edges[ei]
-        st = (
-            _apply_point(acts[ei], root_state)
-            if x_coords is None
-            else _matmul_mod(root_state, acts[ei])
-        )
-        prefix_entries.append((e.dst, st))
-    n_tasks = max(1, min(len(prefix_entries), workers * 3))
-    chunks: list[list] = [[] for _ in range(n_tasks)]
-    for i, entry in enumerate(prefix_entries):
-        chunks[i * n_tasks // len(prefix_entries)].append(entry)
-    payloads = [
-        (graph, n_max - 1, chunk, x_coords, end, inverse) for chunk in chunks if chunk
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_table_worker, payloads))
-    merged = [root_arr]
-    for m in range(1, n_max + 1):
-        parts = [res[m - 1] for res in results]
-        merged.append(np.concatenate(parts) if parts else arrays[m])
-    return merged
+    tables = [record(state, verts)]
+    for _ in range(n_max):
+        # child slot of parent p via its k-th out-edge: first[p] + k
+        fan_out = degree[verts]
+        first = np.cumsum(fan_out) - fan_out
+        by_vertex = np.argsort(verts, kind="stable")
+        bounds = np.cumsum(np.bincount(verts, minlength=graph.n_vertices))
+        children = np.empty((int(fan_out.sum()),) + state.shape[1:], dtype=np.uint64)
+        child_verts = np.empty(len(children), dtype=np.intp)
+        for v, group in enumerate(np.split(by_vertex, bounds[:-1])):
+            if group.size == 0:
+                continue
+            parents = state[group]
+            slots = first[group]
+            for k, ei in enumerate(out[v]):
+                children[slots + k] = acts[ei] @ parents
+                child_verts[slots + k] = dst[ei]
+        state, verts = children, child_verts
+        tables.append(record(state, verts))
+    return tables
 
 
 def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
@@ -344,16 +256,13 @@ def sphere_series(
     *,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> AveragingReport:
     """Exact spherical averages for every n = 1..n_max plus running Cesaro means.
 
-    One DFS pass serves all lengths: the average over paths of length n uses
-    the depth-n slice of the enumeration tree.
+    One level-synchronous pass serves all lengths: the average over paths of
+    length n sums the level-n table, rows in path-lexicographic edge order.
     """
-    tables = orbit_tables(
-        graph, x, n_max, inverse=inverse, budget=budget, workers=workers
-    )
+    tables = orbit_tables(graph, x, n_max, inverse=inverse, budget=budget)
     sums = _function_sums(tables, f)
     counts = [t.shape[0] for t in tables]
     sph = []
@@ -386,14 +295,15 @@ def spherical_average(
     *,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> complex:
-    """Average of f over the n-sphere: (1/#S_n) sum over |w| = n of f(w^-1 x)."""
+    """Average of f over the n-sphere: (1/#S_n) sum over |w| = n of f(w^-1 x).
+
+    The sphere is the level-n table of the level-synchronous enumeration,
+    summed in path-lexicographic edge order.
+    """
     if n == 0:
         return f.evaluate(x)
-    report = sphere_series(
-        graph, x, f, n, inverse=inverse, budget=budget, workers=workers
-    )
+    report = sphere_series(graph, x, f, n, inverse=inverse, budget=budget)
     return report.spherical_at(n)
 
 
@@ -405,12 +315,9 @@ def cesaro_average(
     *,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> complex:
     """Cesaro mean (1/N) sum_{n=1..N} of the spherical averages; n = 0 is excluded."""
-    report = sphere_series(
-        graph, x, f, n_max, inverse=inverse, budget=budget, workers=workers
-    )
+    report = sphere_series(graph, x, f, n_max, inverse=inverse, budget=budget)
     return report.cesaro_at(n_max)
 
 
@@ -436,7 +343,6 @@ def kappa_average(
     end: int | None = None,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> WeightedAverageResult:
     """Counting average: (1/N) sum_n (1 / #Omega^n) sum over paths of f(w^-1 x).
 
@@ -457,8 +363,7 @@ def kappa_average(
     sums = [0.0 + 0.0j] * (n_max + 1)
     for v in starts:
         tables = orbit_tables(
-            graph, x, n_max, start=v, end=end, inverse=inverse,
-            budget=budget, workers=workers,
+            graph, x, n_max, start=v, end=end, inverse=inverse, budget=budget
         )
         for m, s in enumerate(_function_sums(tables, f)):
             sums[m] += s
@@ -489,7 +394,6 @@ def markov_cesaro(
     *,
     inverse: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> WeightedAverageResult:
     """Markov-weighted Cesaro average over paths from one vertex to another.
 
@@ -498,8 +402,7 @@ def markov_cesaro(
     """
     graph = model.graph
     tables = orbit_tables(
-        graph, x, n_max, start=start, end=end, inverse=inverse,
-        budget=budget, workers=workers,
+        graph, x, n_max, start=start, end=end, inverse=inverse, budget=budget
     )
     sums = _function_sums(tables, f)
     weight = model.q[start] * model.p[end]

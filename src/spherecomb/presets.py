@@ -161,8 +161,20 @@ def preset_names() -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
+def _shipped(name: str) -> Preset:
+    try:
+        return _BUILDERS[name]()
+    except KeyError:
+        known = ", ".join(preset_names())
+        raise SpherecombError(f"unknown preset {name!r}; known presets: {known}") from None
+
+
 def preset(name: str) -> Preset:
-    """Look up a preset by name; ``user:<path>`` loads a saved automaton file."""
+    """Look up a preset by name; ``user:<path>`` loads a saved automaton file.
+
+    Shipped presets are built once per process; a ``user:`` file is read on
+    every call, so a rewritten file is never served stale.
+    """
     if name.startswith("user:"):
         path = name[len("user:") :]
         if not path:
@@ -176,8 +188,8 @@ def preset(name: str) -> Preset:
             basepoint=_irrational_point(graph.system.dim),
             equidistributes=False,
         )
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        known = ", ".join(preset_names())
-        raise SpherecombError(f"unknown preset {name!r}; known presets: {known}") from None
+    return _shipped(name)
+
+
+# Empties the shipped-preset cache, e.g. so that a caller can time a fresh build.
+preset.cache_clear = _shipped.cache_clear

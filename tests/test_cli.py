@@ -242,31 +242,3 @@ def test_unknown_preset_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--preset", "nope")
     assert code == 2
     assert "unknown preset" in err
-
-
-def test_workers_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("SPHERECOMB_WORKERS", "2")
-    code, out, _ = run_cli(
-        capsys, "equidist", "--preset", "free2_sanov", "--n-max", "4", "--k", "1,0"
-    )
-    assert code == 0
-    monkeypatch.setenv("SPHERECOMB_WORKERS", "bogus")
-    code, _, err = run_cli(
-        capsys, "equidist", "--preset", "free2_sanov", "--n-max", "4"
-    )
-    assert code == 2
-    assert "SPHERECOMB_WORKERS" in err
-
-
-def test_workers_flag_does_not_change_results(tmp_path, capsys):
-    outs = []
-    for w in ("1", "3"):
-        out = tmp_path / f"w{w}.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "equidist", "--preset", "free2_sanov", "--n-max", "9",
-            "--k", "2,1", "--workers", w, "--output", str(out),
-        )
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]

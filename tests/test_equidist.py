@@ -1,10 +1,13 @@
 """Averaging operators: exact engines, oracles, Monte Carlo estimators."""
 
 import cmath
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecomb import (
     TestFunction,
@@ -12,12 +15,13 @@ from spherecomb import (
     build_markov,
     cesaro_average,
     character_sums,
-    haar_integral,
+    enumerate_paths,
     kappa_average,
     markov_cesaro,
     mc_spherical,
     orbit_tables,
     preset,
+    preset_names,
     random_geodesic_average,
     restrict,
     sphere_counts,
@@ -25,6 +29,7 @@ from spherecomb import (
     spherical_average,
     word_act,
 )
+from spherecomb.algebra import MASK
 from spherecomb.errors import BudgetExceededError, DimensionMismatchError
 from conftest import reduced_words
 
@@ -53,8 +58,8 @@ def test_haar_integral_reads_trivial_coefficient():
     f = TestFunction(
         (((0, 0), 2.5 + 1j), ((1, 0), 3.0 + 0j), ((0, 0), 0.5 + 0j))
     )
-    assert haar_integral(f) == 3.0 + 1j
-    assert haar_integral(TestFunction.character((1, 2))) == 0
+    assert f.haar == 3.0 + 1j
+    assert TestFunction.character((1, 2)).haar == 0
 
 
 def test_test_function_rejects_mixed_dimensions():
@@ -101,12 +106,39 @@ def test_orbit_tables_end_filter(free2_graph, x2):
         )
 
 
-def test_orbit_tables_worker_independence(free2_graph, x2):
-    t1 = orbit_tables(free2_graph, x2, 9, workers=1)
-    t3 = orbit_tables(free2_graph, x2, 9, workers=3, budget=10**7)
-    for a, b in zip(t1, t3):
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_orbit_tables_rows_follow_path_order(data):
+    ps = preset(data.draw(st.sampled_from(preset_names())))
+    graph, system = ps.graph, ps.system
+    vertices = st.integers(0, graph.n_vertices - 1)
+    start = data.draw(vertices)
+    end = data.draw(st.none() | vertices)
+    inverse = data.draw(st.booleans())
+    n = data.draw(st.integers(0, 6))
+    x = TorusPoint(tuple(data.draw(st.integers(0, MASK)) for _ in range(system.dim)))
+    got = orbit_tables(graph, x, n, start=start, end=end, inverse=inverse)[n]
+    want = [
+        word_act(graph.path_word(p), x, system, inverse=inverse).coords
+        for p in enumerate_paths(graph, start, n, target=end)
+    ]
+    assert got.shape == (len(want), system.dim)
+    assert [tuple(int(v) for v in row) for row in got] == want
+
+
+def test_orbit_tables_match_pinned_digests(free2_graph, x2):
+    # sha256 of the little-endian tables at n = 10, recorded with the
+    # depth-first engine that the level-synchronous kernel replaced
+    pinned = [
+        ({}, "4617bfb39509748d2f83e49ca5f8b314750ac5fbecc5e5edd205f809ee53fcf9"),
+        ({"inverse": False}, "d55280abd647da0fec46179a6bf4b20980643eecdafc87febf28289a0b9a4388"),
+        ({"start": 1, "end": 3}, "f4fc8dfd6a31629082db9a19a9fc5b8c68b02e38e6ea4cc354478c6df85039cc"),
+    ]
+    for kwargs, digest in pinned:
+        h = hashlib.sha256()
+        for table in orbit_tables(free2_graph, x2, 10, **kwargs):
+            h.update(table.astype("<u8").tobytes())
+        assert h.hexdigest() == digest, kwargs
 
 
 def test_budget_exceeded(free2_graph, x2):

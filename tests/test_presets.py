@@ -80,6 +80,16 @@ def test_user_preset_round_trip(tmp_path):
     assert ps.basepoint.dim == 2
 
 
+def test_user_preset_rereads_rewritten_file(tmp_path):
+    path = tmp_path / "saved.json"
+    save_automaton(preset("free2_sanov").graph, path)
+    assert preset(f"user:{path}").system.dim == 2
+    save_automaton(preset("dinf_involutions").graph, path)
+    ps = preset(f"user:{path}")
+    assert ps.system.dim == 3
+    assert sphere_counts(ps.graph, 4) == (1, 2, 2, 2, 2)
+
+
 def test_user_preset_needs_path():
     with pytest.raises(SpherecombError):
         preset("user:")
