@@ -4,6 +4,10 @@ Every subcommand reads options from flags, optionally seeded by a JSON config
 file (flags win), embeds the fully resolved configuration in its report, and
 writes deterministic output: rerunning with the same config and seed produces
 byte-identical files.  Reports carry no timestamps for that reason.
+
+Options come from one table: ``_OPTIONS`` declares each option once, and a
+subcommand's defaults dict in ``_COMMANDS`` is the only list of the options it
+takes.  A config key is the option name (``n_max`` for ``--n-max``).
 """
 
 from __future__ import annotations
@@ -44,20 +48,30 @@ def _parse_basepoint(spec, dim: int) -> TorusPoint:
     return TorusPoint.from_fractions(fracs)
 
 
+def _parse_term(entry) -> tuple[tuple[int, ...], complex]:
+    """One ``[[k1, ..., kd], coeff]`` entry; coeff is a number or a [re, im] pair."""
+    try:
+        k, coeff = entry
+        if isinstance(coeff, (int, float)):
+            c = complex(coeff)
+        else:
+            re, im = coeff
+            c = complex(re, im)
+        return tuple(int(v) for v in k), c
+    except (TypeError, ValueError):
+        raise SpherecombError(
+            f"bad function term {entry!r}: expected [[k1, ..., kd], coeff]"
+        ) from None
+
+
 def _parse_function(k_spec, terms_spec, dim: int) -> TestFunction:
     """Either a single frequency vector (--k) or a full term list (--function)."""
     if terms_spec is not None:
         if isinstance(terms_spec, str):
             terms_spec = json.loads(terms_spec)
-        terms = []
-        for entry in terms_spec:
-            k, coeff = entry
-            if isinstance(coeff, (int, float)):
-                c = complex(coeff)
-            else:
-                c = complex(coeff[0], coeff[1])
-            terms.append((tuple(int(v) for v in k), c))
-        f = TestFunction(tuple(terms))
+        if not isinstance(terms_spec, list):
+            raise SpherecombError(f"function must be a JSON list of terms, not {terms_spec!r}")
+        f = TestFunction(tuple(_parse_term(entry) for entry in terms_spec))
     elif k_spec is not None:
         if isinstance(k_spec, str):
             k = tuple(int(s) for s in k_spec.split(","))
@@ -69,10 +83,6 @@ def _parse_function(k_spec, terms_spec, dim: int) -> TestFunction:
     if f.dim is not None and f.dim != dim:
         raise SpherecombError(f"function frequencies have {f.dim} entries, torus needs {dim}")
     return f
-
-
-def _function_echo(f: TestFunction) -> list:
-    return [[list(k), [c.real, c.imag]] for k, c in f.terms]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -91,8 +101,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -125,21 +134,30 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _get_preset(cfg: dict) -> Preset:
-    return preset(cfg["preset"])
-
-
 def _spectral_for(ps: Preset) -> spectral.SpectralData:
     return spectral.perron_data(spectral.transition_matrix(ps.graph))
+
+
+def _orbit_inputs(cfg: dict) -> tuple[Preset, TorusPoint, TestFunction]:
+    """The preset, the basepoint (the preset's unless given) and the test function."""
+    ps = preset(cfg["preset"])
+    dim = ps.system.dim
+    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
+    return ps, x, _parse_function(cfg["k"], cfg["function"], dim)
+
+
+def _orbit_config(cfg: dict, command: str, f: TestFunction, **extra) -> dict:
+    """The resolved config as an orbit report echoes it: ``--k`` folded into the term list."""
+    function = [[list(k), [c.real, c.imag]] for k, c in f.terms]
+    return {**cfg, "command": command, **extra, "function": function, "k": None}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _resolve(args, {"preset": "free2_sanov", "output": None})
-    ps = _get_preset(cfg)
+def _cmd_analyze(cfg: dict) -> int:
+    ps = preset(cfg["preset"])
     data = _spectral_for(ps)
     cls = data.classification
     if data.primitive:
@@ -179,24 +197,17 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_spheres(args) -> int:
-    cfg = _resolve(
-        args,
-        {"preset": "free2_sanov", "n_max": 8, "cross_check": False, "output": None},
-    )
-    ps = _get_preset(cfg)
+def _cmd_spheres(cfg: dict) -> int:
+    ps = preset(cfg["preset"])
     n_max = int(cfg["n_max"])
     counts = sphere_counts(ps.graph, n_max)
-    rows = []
     if cfg["cross_check"]:
         bfs = cayley_sphere_counts(ps.system, n_max)
         header = ["n", "path_count", "cayley_count", "match"]
-        for n in range(n_max + 1):
-            rows.append([n, counts[n], bfs[n], str(counts[n] == bfs[n]).lower()])
+        rows = [[n, c, b, str(c == b).lower()] for n, (c, b) in enumerate(zip(counts, bfs))]
     else:
         header = ["n", "path_count"]
-        for n in range(n_max + 1):
-            rows.append([n, counts[n]])
+        rows = [[n, c] for n, c in enumerate(counts)]
     _write_text(cfg["output"], _csv_text(header, rows))
     return 0
 
@@ -220,26 +231,8 @@ def _mc_series(graph, data, x, f, n_max, samples, seed):
     return sph, ces, errs
 
 
-def _cmd_equidist(args) -> int:
-    defaults = {
-        "preset": "free2_sanov",
-        "basepoint": None,
-        "k": None,
-        "function": None,
-        "n_max": 12,
-        "mode": "auto",
-        "samples": 2000,
-        "seed": 0,
-        "budget": DEFAULT_BUDGET,
-        "forward": False,
-        "output": None,
-        "json": False,
-    }
-    cfg = _resolve(args, defaults)
-    ps = _get_preset(cfg)
-    dim = ps.system.dim
-    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
-    f = _parse_function(cfg["k"], cfg["function"], dim)
+def _cmd_equidist(cfg: dict) -> int:
+    ps, x, f = _orbit_inputs(cfg)
     n_max = int(cfg["n_max"])
     budget = int(cfg["budget"])
     inverse = not cfg["forward"]
@@ -257,17 +250,9 @@ def _cmd_equidist(args) -> int:
         sph, ces, errs = _mc_series(
             ps.graph, data, x, f, n_max, int(cfg["samples"]), int(cfg["seed"])
         )
-    resolved = {
-        **cfg,
-        "command": "equidist",
-        "mode": mode,
-        **_ECHOED_WORKERS,
-        "function": _function_echo(f),
-        "k": None,
-    }
     if cfg["json"]:
         report = {
-            "config": resolved,
+            "config": _orbit_config(cfg, "equidist", f, mode=mode, **_ECHOED_WORKERS),
             "results": {
                 "basepoint_fix64": list(x.coords),
                 "n": list(range(1, n_max + 1)),
@@ -283,140 +268,71 @@ def _cmd_equidist(args) -> int:
         "n", "path_count", "spherical_re", "spherical_im",
         "cesaro_re", "cesaro_im", "mode", "stderr",
     ]
-    rows = []
-    for i, n in enumerate(range(1, n_max + 1)):
-        rows.append(
-            [
-                n,
-                counts[n],
-                _fmt(sph[i].real),
-                _fmt(sph[i].imag),
-                _fmt(ces[i].real),
-                _fmt(ces[i].imag),
-                mode,
-                "" if errs[i] is None else _fmt(errs[i]),
-            ]
-        )
+    rows = [
+        [n, counts[n], _fmt(s.real), _fmt(s.imag), _fmt(c.real), _fmt(c.imag), mode,
+         "" if e is None else _fmt(e)]
+        for n, s, c, e in zip(range(1, n_max + 1), sph, ces, errs)
+    ]
     _write_text(cfg["output"], _csv_text(header, rows))
     return 0
 
 
-def _cmd_kappa(args) -> int:
-    defaults = {
-        "preset": "free2_sanov",
-        "basepoint": None,
-        "k": None,
-        "function": None,
-        "n_max": 12,
-        "start": None,
-        "end": None,
-        "budget": DEFAULT_BUDGET,
-        "output": None,
+def _weighted_report(cfg: dict, command: str, x, f, res, **extra) -> int:
+    """The report of ``kappa`` and ``markov-cesaro``: a value and its predicted limit."""
+    report = {
+        "config": _orbit_config(cfg, command, f, **_ECHOED_WORKERS, **extra),
+        "results": {
+            "basepoint_fix64": list(x.coords),
+            "value": [res.value.real, res.value.imag],
+            "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
+        },
     }
-    cfg = _resolve(args, defaults)
-    ps = _get_preset(cfg)
-    dim = ps.system.dim
-    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
-    f = _parse_function(cfg["k"], cfg["function"], dim)
-    data = _spectral_for(ps)
+    _write_text(cfg["output"], _json_report(report))
+    return 0
+
+
+def _cmd_kappa(cfg: dict) -> int:
+    ps, x, f = _orbit_inputs(cfg)
     res = equidist.kappa_average(
-        ps.graph,
-        x,
-        f,
-        int(cfg["n_max"]),
-        data=data,
+        ps.graph, x, f, int(cfg["n_max"]),
+        data=_spectral_for(ps),
         start=None if cfg["start"] is None else int(cfg["start"]),
         end=None if cfg["end"] is None else int(cfg["end"]),
         budget=int(cfg["budget"]),
     )
-    report = {
-        "config": {**cfg, "command": "kappa", **_ECHOED_WORKERS,
-                   "function": _function_echo(f), "k": None},
-        "results": {
-            "basepoint_fix64": list(x.coords),
-            "value": [res.value.real, res.value.imag],
-            "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
-        },
-    }
-    _write_text(cfg["output"], _json_report(report))
-    return 0
+    return _weighted_report(cfg, "kappa", x, f, res)
 
 
-def _cmd_markov_cesaro(args) -> int:
-    defaults = {
-        "preset": "free2_sanov",
-        "basepoint": None,
-        "k": None,
-        "function": None,
-        "n_max": 12,
-        "start": None,
-        "end": None,
-        "budget": DEFAULT_BUDGET,
-        "output": None,
-    }
-    cfg = _resolve(args, defaults)
-    ps = _get_preset(cfg)
-    dim = ps.system.dim
-    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
-    f = _parse_function(cfg["k"], cfg["function"], dim)
-    data = _spectral_for(ps)
-    model = markov.build_markov(ps.graph, data)
+def _cmd_markov_cesaro(cfg: dict) -> int:
+    ps, x, f = _orbit_inputs(cfg)
+    model = markov.build_markov(ps.graph, _spectral_for(ps))
     start = ps.graph.initial if cfg["start"] is None else int(cfg["start"])
     end = ps.graph.initial if cfg["end"] is None else int(cfg["end"])
     res = equidist.markov_cesaro(
-        model, x, f, int(cfg["n_max"]), start, end,
-        budget=int(cfg["budget"]),
+        model, x, f, int(cfg["n_max"]), start, end, budget=int(cfg["budget"])
     )
-    report = {
-        "config": {**cfg, "command": "markov-cesaro", **_ECHOED_WORKERS,
-                   "function": _function_echo(f), "k": None,
-                   "start": start, "end": end},
-        "results": {
-            "basepoint_fix64": list(x.coords),
-            "value": [res.value.real, res.value.imag],
-            "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
-        },
-    }
-    _write_text(cfg["output"], _json_report(report))
+    return _weighted_report(cfg, "markov-cesaro", x, f, res, start=start, end=end)
+
+
+def _cmd_tv(cfg: dict) -> int:
+    ps = preset(cfg["preset"])
+    data = _spectral_for(ps)
+    rows = [
+        [n, _fmt(markov.lambda_prime(ps.graph, data, n).tv_to_counting())]
+        for n in range(1, int(cfg["n_max"]) + 1)
+    ]
+    _write_text(cfg["output"], _csv_text(["n", "tv"], rows))
     return 0
 
 
-def _cmd_tv(args) -> int:
-    cfg = _resolve(args, {"preset": "free2_sanov", "n_max": 10, "output": None})
-    ps = _get_preset(cfg)
-    data = _spectral_for(ps)
-    header = ["n", "tv"]
-    rows = []
-    for n in range(1, int(cfg["n_max"]) + 1):
-        lp = markov.lambda_prime(ps.graph, data, n)
-        rows.append([n, _fmt(lp.tv_to_counting())])
-    _write_text(cfg["output"], _csv_text(header, rows))
-    return 0
-
-
-def _cmd_sample_geodesic(args) -> int:
-    defaults = {
-        "preset": "free2_sanov",
-        "basepoint": None,
-        "k": None,
-        "function": None,
-        "length": 10000,
-        "seed": 0,
-        "output": None,
-    }
-    cfg = _resolve(args, defaults)
-    ps = _get_preset(cfg)
-    dim = ps.system.dim
-    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
-    f = _parse_function(cfg["k"], cfg["function"], dim)
-    data = _spectral_for(ps)
-    model = markov.build_markov(ps.graph, data)
+def _cmd_sample_geodesic(cfg: dict) -> int:
+    ps, x, f = _orbit_inputs(cfg)
+    model = markov.build_markov(ps.graph, _spectral_for(ps))
     n = int(cfg["length"])
     value = equidist.random_geodesic_average(model, x, f, n, int(cfg["seed"]))
     path = markov.sample_path(model, ps.graph.initial, min(n, 40), int(cfg["seed"]))
     report = {
-        "config": {**cfg, "command": "sample-geodesic",
-                   "function": _function_echo(f), "k": None},
+        "config": _orbit_config(cfg, "sample-geodesic", f),
         "results": {
             "basepoint_fix64": list(x.coords),
             "ray_average": [value.real, value.imag],
@@ -428,18 +344,10 @@ def _cmd_sample_geodesic(args) -> int:
     return 0
 
 
-def _cmd_build_combing(args) -> int:
-    defaults = {
-        "preset": "free2_sanov",
-        "radius": 8,
-        "lookahead": 2,
-        "output": None,
-        "verify_radius": 6,
-    }
-    cfg = _resolve(args, defaults)
+def _cmd_build_combing(cfg: dict) -> int:
     if cfg["output"] is None:
         raise SpherecombError("build-combing needs --output <file.json>")
-    ps = _get_preset(cfg)
+    ps = preset(cfg["preset"])
     graph = build_cone_type_combing(ps.system, int(cfg["radius"]), int(cfg["lookahead"]))
     rep = combing.verify_geodesic(graph, int(cfg["verify_radius"]))
     if not rep.passed:
@@ -459,29 +367,72 @@ def _cmd_build_combing(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 
+# Each option once, as argparse keywords.  Its flag is "--" + the name with
+# dashes for underscores, and its config key and dest are the name itself.
+_FLAG = {"action": "store_const", "const": True}
+_OPTIONS = {
+    "preset": {"help": f"one of {', '.join(preset_names())}, or user:<automaton.json>"},
+    "basepoint": {
+        "help": "comma-separated decimal or fraction strings, one per torus coordinate",
+    },
+    "k": {"help": "character frequency vector, e.g. 1,0"},
+    "function": {"help": "term list JSON, e.g. [[[1,0],[1,0]],[[0,1],[0.5,0]]]"},
+    "output": {"help": "write the report here instead of stdout"},
+    "n_max": {"type": int},
+    "cross_check": {
+        **_FLAG, "help": "also count spheres by breadth-first search over group elements",
+    },
+    "mode": {"choices": ["exact", "mc", "auto"]},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "budget": {"type": int},
+    "forward": {**_FLAG, "help": "average over w.x instead of w^-1.x"},
+    "json": {**_FLAG, "help": "JSON report instead of CSV"},
+    "start": {"type": int},
+    "end": {"type": int},
+    "length": {"type": int, "help": "number of steps along the sampled ray"},
+    "radius": {"type": int},
+    "lookahead": {"type": int},
+    "verify_radius": {"type": int},
+}
 
-def _add_common(sp, *names):
-    sp.add_argument("--config", help="JSON config file; flags override its entries")
-    if "preset" in names:
-        sp.add_argument(
-            "--preset",
-            help=f"one of {', '.join(preset_names())}, or user:<automaton.json>",
-        )
-    if "basepoint" in names:
-        sp.add_argument(
-            "--basepoint",
-            help="comma-separated decimal or fraction strings, one per torus coordinate",
-        )
-    if "function" in names:
-        sp.add_argument("--k", help="character frequency vector, e.g. 1,0")
-        sp.add_argument(
-            "--function",
-            help='term list JSON, e.g. [[[1,0],[1,0]],[[0,1],[0.5,0]]]',
-        )
-    if "output" in names:
-        sp.add_argument("--output", help="write the report here instead of stdout")
+# The options of an orbit average: which preset, basepoint and test function.
+_ORBIT = {"preset": "free2_sanov", "basepoint": None, "k": None, "function": None, "output": None}
+_WEIGHTED = {**_ORBIT, "n_max": 12, "start": None, "end": None, "budget": DEFAULT_BUDGET}
+
+# subcommand -> (handler, help line, defaults); the defaults' keys are its options.
+_COMMANDS = {
+    "analyze": (
+        _cmd_analyze, "spectral and component report for a preset",
+        {"preset": "free2_sanov", "output": None},
+    ),
+    "spheres": (
+        _cmd_spheres, "sphere count table",
+        {"preset": "free2_sanov", "output": None, "n_max": 8, "cross_check": False},
+    ),
+    "equidist": (
+        _cmd_equidist, "spherical and Cesaro average table",
+        {**_ORBIT, "n_max": 12, "mode": "auto", "samples": 2000, "seed": 0,
+         "budget": DEFAULT_BUDGET, "forward": False, "json": False},
+    ),
+    "kappa": (_cmd_kappa, "counting-normalized Cesaro average", _WEIGHTED),
+    "markov-cesaro": (_cmd_markov_cesaro, "Markov-weighted Cesaro average", _WEIGHTED),
+    "tv": (
+        _cmd_tv, "distance of the sampling measure from counting measure",
+        {"preset": "free2_sanov", "output": None, "n_max": 10},
+    ),
+    "sample-geodesic": (
+        _cmd_sample_geodesic, "average along one sampled geodesic ray",
+        {**_ORBIT, "length": 10000, "seed": 0},
+    ),
+    "build-combing": (
+        _cmd_build_combing, "build and save a cone-type automaton",
+        {"preset": "free2_sanov", "output": None, "radius": 8, "lookahead": 2,
+         "verify_radius": 6},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -490,80 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sphere and path averages for matrix groups acting on the torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="spectral and component report for a preset")
-    _add_common(sp, "preset", "output")
-    sp.set_defaults(func=_cmd_analyze)
-
-    sp = sub.add_parser("spheres", help="sphere count table")
-    _add_common(sp, "preset", "output")
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument(
-        "--cross-check", dest="cross_check", action="store_const", const=True,
-        help="also count spheres by breadth-first search over group elements",
-    )
-    sp.set_defaults(func=_cmd_spheres)
-
-    sp = sub.add_parser("equidist", help="spherical and Cesaro average table")
-    _add_common(sp, "preset", "basepoint", "function", "output")
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--mode", choices=["exact", "mc", "auto"])
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.add_argument(
-        "--forward", action="store_const", const=True,
-        help="average over w.x instead of w^-1.x",
-    )
-    sp.add_argument("--json", action="store_const", const=True, help="JSON report instead of CSV")
-    sp.set_defaults(func=_cmd_equidist)
-
-    sp = sub.add_parser("kappa", help="counting-normalized Cesaro average")
-    _add_common(sp, "preset", "basepoint", "function", "output")
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--start", type=int)
-    sp.add_argument("--end", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.set_defaults(func=_cmd_kappa)
-
-    sp = sub.add_parser("markov-cesaro", help="Markov-weighted Cesaro average")
-    _add_common(sp, "preset", "basepoint", "function", "output")
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--start", type=int)
-    sp.add_argument("--end", type=int)
-    sp.add_argument("--budget", type=int)
-    sp.set_defaults(func=_cmd_markov_cesaro)
-
-    sp = sub.add_parser("tv", help="distance of the sampling measure from counting measure")
-    _add_common(sp, "preset", "output")
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.set_defaults(func=_cmd_tv)
-
-    sp = sub.add_parser("sample-geodesic", help="average along one sampled geodesic ray")
-    _add_common(sp, "preset", "basepoint", "function", "output")
-    sp.add_argument("--length", type=int, help="number of steps along the sampled ray")
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=_cmd_sample_geodesic)
-
-    sp = sub.add_parser("build-combing", help="build and save a cone-type automaton")
-    _add_common(sp, "preset", "output")
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--lookahead", type=int)
-    sp.add_argument("--verify-radius", dest="verify_radius", type=int)
-    sp.set_defaults(func=_cmd_build_combing)
-
+    for command, (_, help_line, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        sp.add_argument("--config", help="JSON config file; flags override its entries")
+        for name in defaults:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, defaults = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except SpherecombError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return handler(_resolve(args, defaults))
+    except (SpherecombError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

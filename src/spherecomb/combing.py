@@ -25,6 +25,7 @@ from .algebra import GeneratorSystem, GroupMatrix
 from .errors import (
     AutomatonFormatError,
     InconsistentAutomatonError,
+    NotAlmostSemisimpleError,
     RadiusExhaustedError,
     SpherecombError,
     UnknownLabelError,
@@ -348,7 +349,7 @@ def loop_paths(graph: GraphStructure, vertex: int, length: int) -> Iterator[tupl
 
 
 # ---------------------------------------------------------------------------
-# restriction, p-step, components
+# restriction, p-step, pruning
 
 
 def restrict(
@@ -388,50 +389,19 @@ def p_step(graph: GraphStructure, p: int) -> GraphStructure:
     return GraphStructure(graph.system, graph.n_vertices, graph.initial, tuple(edges))
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Strongly connected components with growth data, per vertex."""
+def prune_small_growth(graph: GraphStructure) -> GraphStructure:
+    """Restriction to the large-growth vertices (start vertex must survive).
 
-    components: tuple[tuple[int, ...], ...]
-    comp_of: tuple[int, ...]
-    radii: tuple[float, ...]
-    maximal: tuple[bool, ...]
-    lam: float
-    large_growth: tuple[bool, ...]
-
-    def large_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, big in enumerate(self.large_growth) if big)
-
-
-def components(graph: GraphStructure, lam: float | None = None) -> ComponentDecomposition:
-    """Component decomposition of the transition matrix, with growth classes.
-
-    A component is maximal when its spectral radius attains the leading
-    eigenvalue (supplied, or computed from the structure itself); a vertex has
-    large growth when it reaches a maximal component.  Raises
-    NotAlmostSemisimpleError when a path joins two distinct maximal components.
+    A vertex has large growth when it reaches a maximal component (see
+    ``spectral.classify``).  Raises NotAlmostSemisimpleError when a path joins
+    two distinct maximal components.
     """
-    cls = spectral.classify(spectral.transition_matrix(graph), lam=lam)
+    cls = spectral.classify(spectral.transition_matrix(graph))
     if not cls.almost_semisimple and cls.lam > 0:
-        from .errors import NotAlmostSemisimpleError
-
         raise NotAlmostSemisimpleError(
             "not almost semisimple: a path joins two maximal components"
         )
-    return ComponentDecomposition(
-        components=cls.components,
-        comp_of=cls.comp_of,
-        radii=cls.radii,
-        maximal=cls.maximal,
-        lam=cls.lam,
-        large_growth=cls.large_growth,
-    )
-
-
-def prune_small_growth(graph: GraphStructure) -> GraphStructure:
-    """Restriction to the large-growth vertices (start vertex must survive)."""
-    decomp = components(graph)
-    return restrict(graph, decomp.large_vertices())
+    return restrict(graph, [v for v, big in enumerate(cls.large_growth) if big])
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ def _matmul_mod(left, right):
     )
 
 
+def _check_length(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"N must be at least 1, not {n_max}")
+
+
+def _check_vertices(graph: GraphStructure, **vertices: int | None) -> None:
+    """Reject a start or end vertex outside 0 .. n_vertices - 1."""
+    for name, v in vertices.items():
+        if v is not None and not 0 <= v < graph.n_vertices:
+            raise ValueError(f"{name} vertex {v} out of range for {graph.n_vertices} vertices")
+
+
 def orbit_tables(
     graph: GraphStructure,
     x: TorusPoint,
@@ -147,6 +159,7 @@ def orbit_tables(
         raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {graph.system.dim}")
     if start is None:
         start = graph.initial
+    _check_vertices(graph, start=start, end=end)
     counts_any = _backward_counts(graph, n_max)
     total_nodes = sum(counts_any[m][start] for m in range(n_max + 1))
     if total_nodes > budget:
@@ -352,6 +365,8 @@ def kappa_average(
     is q_i p_j / c times the Haar integral; unrestricted it is the Haar
     integral itself.
     """
+    _check_length(n_max)
+    _check_vertices(graph, start=start, end=end)
     if data is None:
         data = spectral.perron_data(spectral.transition_matrix(graph))
     starts = list(range(graph.n_vertices)) if start is None else [start]
@@ -400,6 +415,7 @@ def markov_cesaro(
     Each length-n path from i to j carries weight q_i p_j / lambda^n; the
     predicted limit is pi_i pi_j times the Haar integral.
     """
+    _check_length(n_max)
     graph = model.graph
     tables = orbit_tables(
         graph, x, n_max, start=start, end=end, inverse=inverse, budget=budget
@@ -481,6 +497,7 @@ def random_geodesic_average(
     vertex by default); the orbit point is refined incrementally, one inverse
     generator application per step.
     """
+    _check_length(n_max)
     if start is None:
         start = model.graph.initial
     path = markov_mod.sample_path(model, start, n_max, seed)

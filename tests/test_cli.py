@@ -1,12 +1,13 @@
 """Command line interface: reports, determinism, config handling, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from spherecomb.cli import main
+from spherecomb.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -242,3 +243,119 @@ def test_unknown_preset_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--preset", "nope")
     assert code == 2
     assert "unknown preset" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equidist", "--function", "[1]"],
+        ["equidist", "--function", '[[[1,0],"x"]]'],
+        ["equidist", "--function", "5"],
+        ["kappa", "--n-max", "0"],
+        ["markov-cesaro", "--n-max", "0"],
+        ["sample-geodesic", "--length", "0"],
+        ["kappa", "--start", "99"],
+        ["kappa", "--end", "99"],
+        ["markov-cesaro", "--start", "99"],
+        ["markov-cesaro", "--end", "-1"],
+    ],
+)
+def test_bad_input_exits_2_with_error_line(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+_ORBIT_OPTIONS = {"preset", "basepoint", "k", "function", "output"}
+
+# Every subcommand's options, which are also its config keys.
+OPTIONS = {
+    "analyze": {"preset", "output"},
+    "spheres": {"preset", "output", "n_max", "cross_check"},
+    "equidist": _ORBIT_OPTIONS
+    | {"n_max", "mode", "samples", "seed", "budget", "forward", "json"},
+    "kappa": _ORBIT_OPTIONS | {"n_max", "start", "end", "budget"},
+    "markov-cesaro": _ORBIT_OPTIONS | {"n_max", "start", "end", "budget"},
+    "tv": {"preset", "output", "n_max"},
+    "sample-geodesic": _ORBIT_OPTIONS | {"length", "seed"},
+    "build-combing": {"preset", "output", "radius", "lookahead", "verify_radius"},
+}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_option_table_flags_per_subcommand():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(OPTIONS)
+    for command, names in OPTIONS.items():
+        flags = {s for a in subparsers[command]._actions for s in a.option_strings}
+        expected = {"--" + n.replace("_", "-") for n in names} | {"-h", "--help", "--config"}
+        assert flags == expected, command
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_rejects_keys_of_other_subcommands(tmp_path, capsys, command):
+    foreign = sorted(set().union(*OPTIONS.values()) - OPTIONS[command])[0]
+    for key in (foreign, "nonsense"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert f"unknown config key {key!r}" in err
+        assert out == ""
+
+
+_TERMS = [[[1, 0], [0.5, 0.25]], [[0, 2], 1.0]]
+_ORBIT_VALUES = {
+    "preset": "free2_symbolic",
+    "basepoint": "1/3,2/7",
+    "k": "2,1",
+    "function": _TERMS,
+}
+
+# A non-default value for every option of every subcommand, "output" aside.
+NON_DEFAULT = {
+    "analyze": {"preset": "dinf_involutions"},
+    "spheres": {"preset": "free2_symbolic", "n_max": 5, "cross_check": True},
+    "equidist": {
+        **_ORBIT_VALUES, "n_max": 4, "mode": "mc", "samples": 20, "seed": 3,
+        "budget": 1000, "forward": True, "json": True,
+    },
+    "kappa": {**_ORBIT_VALUES, "n_max": 5, "start": 1, "end": 2, "budget": 100000},
+    "markov-cesaro": {**_ORBIT_VALUES, "n_max": 5, "start": 1, "end": 2, "budget": 100000},
+    "tv": {"preset": "dinf_involutions", "n_max": 6},
+    "sample-geodesic": {**_ORBIT_VALUES, "length": 200, "seed": 4},
+    "build-combing": {"preset": "free2_symbolic", "radius": 6, "lookahead": 1, "verify_radius": 4},
+}
+
+
+def _as_flags(values: dict) -> list[str]:
+    argv = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [flag, value if isinstance(value, str) else json.dumps(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_file_matches_flags_byte_for_byte(tmp_path, capsys, command):
+    out_file = tmp_path / "report.out"
+    values = {**NON_DEFAULT[command], "output": str(out_file)}
+    assert set(values) == OPTIONS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    reports = []
+    for argv in (["--config", str(cfg)], _as_flags(values)):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 0, err
+        reports.append((out, out_file.read_bytes()))
+        out_file.unlink()
+    assert reports[0] == reports[1]
+    assert reports[0][1]

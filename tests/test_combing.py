@@ -12,7 +12,7 @@ from spherecomb import (
     build_cone_type_combing,
     build_free_group_combing,
     cayley_sphere_counts,
-    components,
+    classify,
     count_paths,
     enumerate_paths,
     load_automaton,
@@ -23,11 +23,13 @@ from spherecomb import (
     restrict,
     save_automaton,
     sphere_counts,
+    transition_matrix,
     verify_geodesic,
 )
 from spherecomb.errors import (
     AutomatonFormatError,
     InconsistentAutomatonError,
+    NotAlmostSemisimpleError,
     RadiusExhaustedError,
 )
 from spherecomb.algebra import GeneratorSystem
@@ -202,11 +204,20 @@ def test_loop_paths_start_and_end_at_vertex(free2_graph):
 
 def test_components_and_prune_small_growth():
     g = small_growth_graph()
-    comp = components(g)
-    assert set(comp.large_vertices()) == {0, 1}
+    large = classify(transition_matrix(g)).large_growth
+    assert {v for v, big in enumerate(large) if big} == {0, 1}
     pruned = prune_small_growth(g)
     assert pruned.n_vertices == 2
     assert sphere_counts(pruned, 3) == (1, 1, 1, 1)
+
+
+def test_prune_small_growth_rejects_joined_maximal_components():
+    # two loops of spectral radius 1, the first one feeding the second
+    g = GraphStructure(
+        sanov_system(), 2, 0, (Edge(0, 0, ("a",)), Edge(0, 1, ("b",)), Edge(1, 1, ("b",)))
+    )
+    with pytest.raises(NotAlmostSemisimpleError):
+        prune_small_growth(g)
 
 
 def test_save_load_round_trip(tmp_path, free2_graph):
