@@ -5,6 +5,11 @@ unimodular (determinant 1).  Torus points are vectors of 64-bit fixed-point
 fractions, so the linear action reduces to integer multiply-adds followed by
 a reduction mod 2**64; no floating point enters until a caller converts a
 coordinate or a character phase to a float.
+
+:class:`GroupMatrix` is the validated type at the API boundary: generator
+systems, automaton files and :meth:`GeneratorSystem.word_matrix`.  Hot loops
+(the Cayley ball, cone types, the geodesic check) multiply raw row tuples
+with :func:`_mul` instead and never build a ``GroupMatrix`` per product.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -25,8 +31,10 @@ FRACTIONAL_BITS = 64
 SCALE = 1 << FRACTIONAL_BITS
 MASK = SCALE - 1
 
+Rows = tuple[tuple[int, ...], ...]
 
-def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+
+def _as_int_rows(rows: Iterable[Iterable[int]]) -> Rows:
     out = tuple(tuple(int(v) for v in row) for row in rows)
     if not out:
         raise DimensionMismatchError("matrix must have at least one row")
@@ -37,14 +45,26 @@ def _as_int_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return out
 
 
+def _mul(rows: Rows, cols: Rows) -> Rows:
+    """Raw product of a matrix given by its rows and one given by its columns."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
+
+
 @dataclass(frozen=True)
 class GroupMatrix:
     """Square integer matrix, exact entries of unbounded size."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_int_rows(self.rows))
+
+    @classmethod
+    def _trusted(cls, rows: Rows) -> "GroupMatrix":
+        """Wrap rows that are already square tuples of ints, skipping validation."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def dim(self) -> int:
@@ -57,10 +77,7 @@ class GroupMatrix:
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
-        cols = tuple(zip(*other.rows))
-        return GroupMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
+        return GroupMatrix._trusted(_mul(self.rows, tuple(zip(*other.rows))))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""

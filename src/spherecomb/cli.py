@@ -37,8 +37,10 @@ def _parse_basepoint(spec, dim: int) -> TorusPoint:
     """Decimal or fraction strings, one per coordinate, rounded to fixed point."""
     if isinstance(spec, str):
         parts = [s.strip() for s in spec.split(",")]
-    else:
+    elif isinstance(spec, list):
         parts = [str(s) for s in spec]
+    else:
+        raise SpherecombError(f"basepoint must be a list or a comma-separated string, not {spec!r}")
     if len(parts) != dim:
         raise SpherecombError(f"basepoint has {len(parts)} coordinates, torus needs {dim}")
     try:
@@ -73,10 +75,10 @@ def _parse_function(k_spec, terms_spec, dim: int) -> TestFunction:
             raise SpherecombError(f"function must be a JSON list of terms, not {terms_spec!r}")
         f = TestFunction(tuple(_parse_term(entry) for entry in terms_spec))
     elif k_spec is not None:
-        if isinstance(k_spec, str):
-            k = tuple(int(s) for s in k_spec.split(","))
-        else:
-            k = tuple(int(v) for v in k_spec)
+        try:
+            k = tuple(int(v) for v in (k_spec.split(",") if isinstance(k_spec, str) else k_spec))
+        except TypeError:
+            raise SpherecombError(f"k must be a list of integers, not {k_spec!r}") from None
         f = TestFunction.character(k)
     else:
         f = TestFunction.character((1,) + (0,) * (dim - 1))
@@ -132,6 +134,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if v is not None:
             cfg[key] = v
     return cfg
+
+
+def _n_max(cfg: dict, least: int = 1) -> int:
+    """The largest length N of a report; a range of lengths with no rows is an error."""
+    n_max = int(cfg["n_max"])
+    if n_max < least:
+        raise SpherecombError(f"N must be at least {least}, not {n_max}")
+    return n_max
 
 
 def _spectral_for(ps: Preset) -> spectral.SpectralData:
@@ -199,7 +209,7 @@ def _cmd_analyze(cfg: dict) -> int:
 
 def _cmd_spheres(cfg: dict) -> int:
     ps = preset(cfg["preset"])
-    n_max = int(cfg["n_max"])
+    n_max = _n_max(cfg, least=0)
     counts = sphere_counts(ps.graph, n_max)
     if cfg["cross_check"]:
         bfs = cayley_sphere_counts(ps.system, n_max)
@@ -233,7 +243,7 @@ def _mc_series(graph, data, x, f, n_max, samples, seed):
 
 def _cmd_equidist(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
-    n_max = int(cfg["n_max"])
+    n_max = _n_max(cfg)
     budget = int(cfg["budget"])
     inverse = not cfg["forward"]
     mode = cfg["mode"]
@@ -319,7 +329,7 @@ def _cmd_tv(cfg: dict) -> int:
     data = _spectral_for(ps)
     rows = [
         [n, _fmt(markov.lambda_prime(ps.graph, data, n).tv_to_counting())]
-        for n in range(1, int(cfg["n_max"]) + 1)
+        for n in range(1, _n_max(cfg) + 1)
     ]
     _write_text(cfg["output"], _csv_text(["n", "tv"], rows))
     return 0

@@ -9,7 +9,9 @@ oracle by :func:`verify_geodesic`).
 
 Two constructions are provided: the explicit no-backtracking automaton of a
 free generating set, and the cone-type automaton computed from the exact
-matrix representation by breadth-first search.
+matrix representation by breadth-first search.  The search, the cone types
+and the geodesic check multiply raw row tuples (``GroupMatrix.rows``), each
+Cayley-graph product once; cone types read the search's neighbour table.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import spectral
-from .algebra import GeneratorSystem, GroupMatrix
+from .algebra import GeneratorSystem, GroupMatrix, Rows, _mul
 from .errors import (
     AutomatonFormatError,
     InconsistentAutomatonError,
@@ -126,63 +128,56 @@ def build_free_group_combing(system: GeneratorSystem) -> GraphStructure:
 # breadth-first search on the Cayley graph (the geodesic oracle)
 
 
-def cayley_ball(
-    system: GeneratorSystem, radius: int
-) -> tuple[dict[GroupMatrix, int], list[list[GroupMatrix]]]:
-    """Word-length of every element within the radius, plus elements by sphere.
+class _Ball(NamedTuple):
+    """Cayley ball as raw row tuples, with a neighbour table for the inner elements."""
 
-    Breadth-first, expanding labels in declaration order, so the first path
-    that discovers an element is its shortlex-least geodesic word.
-    """
+    elements: list[Rows]  # breadth-first order
+    depth: list[int]  # word length of each element
+    index: dict[Rows, int]  # element -> position in ``elements``
+    nbrs: list[tuple[int, ...]]  # nbrs[i][j]: index of elements[i] times label j, below the radius
+    bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
+
+
+def _ball(system: GeneratorSystem, radius: int) -> _Ball:
+    """Breadth-first search in label order, one product per edge; stops at an empty sphere."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    ident = GroupMatrix.identity(system.dim)
-    dist: dict[GroupMatrix, int] = {ident: 0}
-    spheres: list[list[GroupMatrix]] = [[ident]]
-    mats = [system.matrix_of(s) for s in system.labels]
+    cols = [tuple(zip(*m.rows)) for m in system.matrices]
+    ident = GroupMatrix.identity(system.dim).rows
+    ball = _Ball([ident], [0], {ident: 0}, [], [0, 1])
+    elements, depth, index, nbrs, bounds = ball
     for n in range(1, radius + 1):
-        sphere: list[GroupMatrix] = []
-        for g in spheres[n - 1]:
-            for m in mats:
-                h = g @ m
-                if h not in dist:
-                    dist[h] = n
-                    sphere.append(h)
-        spheres.append(sphere)
-        if not sphere:
+        for g in elements[bounds[n - 1] : bounds[n]]:
+            row = []
+            for c in cols:
+                h = _mul(g, c)
+                i = index.get(h)
+                if i is None:
+                    i = index[h] = len(elements)
+                    elements.append(h)
+                    depth.append(n)
+                row.append(i)
+            nbrs.append(tuple(row))
+        bounds.append(len(elements))
+        if bounds[n + 1] == bounds[n]:
             break
-    return dist, spheres
+    return ball
+
+
+def cayley_ball(system: GeneratorSystem, radius: int) -> tuple[dict[Rows, int], list[list[Rows]]]:
+    """Word length of every element within the radius, plus elements by sphere.
+
+    Elements are raw row tuples (``GroupMatrix.rows``), listed in breadth-first
+    order, so each sphere is ordered by shortlex-least geodesic words.
+    """
+    elements, depth, _, _, b = _ball(system, radius)
+    return dict(zip(elements, depth)), [elements[b[n] : b[n + 1]] for n in range(len(b) - 1)]
 
 
 def cayley_sphere_counts(system: GeneratorSystem, radius: int) -> tuple[int, ...]:
     """Sphere sizes #S_n of the group for n = 0..radius, by brute-force BFS."""
     _, spheres = cayley_ball(system, radius)
-    counts = [len(s) for s in spheres]
-    counts += [0] * (radius + 1 - len(counts))
-    return tuple(counts)
-
-
-def _cone_type(
-    system: GeneratorSystem,
-    dist: dict[GroupMatrix, int],
-    g: GroupMatrix,
-    depth: int,
-    lookahead: int,
-) -> frozenset[tuple[str, ...]]:
-    """Geodesic extensions of g up to the lookahead: words u with |gu| = |g| + |u|."""
-    out: set[tuple[str, ...]] = set()
-    stack = [(g, (), 0)]
-    while stack:
-        h, word, n = stack.pop()
-        if n == lookahead:
-            continue
-        for s in system.labels:
-            h2 = h @ system.matrix_of(s)
-            if dist.get(h2) == depth + n + 1:
-                w2 = word + (s,)
-                out.add(w2)
-                stack.append((h2, w2, n + 1))
-    return frozenset(out)
+    return tuple(len(s) for s in spheres) + (0,) * (radius + 1 - len(spheres))
 
 
 def build_cone_type_combing(
@@ -191,11 +186,12 @@ def build_cone_type_combing(
     """Cone-type automaton from the exact matrix representation.
 
     Elements within the radius are enumerated by breadth-first search; two
-    elements share a state when their geodesic extensions agree to the given
-    lookahead depth.  The result is self-checked: its path counts from the
-    start must reproduce the Cayley sphere counts for all n <= radius -
-    lookahead, else the lookahead was too shallow and the automaton is
-    rejected.
+    elements share a state when their geodesic extensions (words u with
+    |gu| = |g| + |u|) agree to the given lookahead depth.  Extensions are
+    read off the ball's neighbour table, so no product is recomputed.  The
+    result is self-checked: its path counts from the start must reproduce
+    the Cayley sphere counts for all n <= radius - lookahead, else the
+    lookahead was too shallow and the automaton is rejected.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
@@ -203,41 +199,43 @@ def build_cone_type_combing(
         raise RadiusExhaustedError(
             f"radius {radius} leaves no room below lookahead {lookahead}"
         )
-    dist, spheres = cayley_ball(system, radius)
+    _, depth, _, nbrs, bounds = _ball(system, radius)
     depth_cap = radius - lookahead
-    for n in range(radius + 1):
-        if n < len(spheres) and spheres[n]:
-            continue
+    if bounds[-1] == bounds[-2]:
         raise RadiusExhaustedError(
-            f"sphere {n} is empty: the group ball stops growing before radius {radius}"
+            f"sphere {len(bounds) - 2} is empty: "
+            f"the group ball stops growing before radius {radius}"
         )
 
+    def geodesic_steps(i: int) -> list[tuple[int, int]]:  # (label index, neighbour) one longer
+        return [(j, h) for j, h in enumerate(nbrs[i]) if depth[h] == depth[i] + 1]
+
     state_of_type: dict[frozenset, int] = {}
-    rep: list[tuple[GroupMatrix, int]] = []  # (element, depth), first BFS occurrence
-    state_of_elem: dict[GroupMatrix, int] = {}
-    for n in range(depth_cap + 1):
-        for g in spheres[n]:
-            t = _cone_type(system, dist, g, n, lookahead)
-            if t not in state_of_type:
-                state_of_type[t] = len(rep)
-                rep.append((g, n))
-            state_of_elem[g] = state_of_type[t]
+    rep: list[int] = []  # element index of each state's first BFS occurrence
+    state_of_elem: list[int] = []
+    for i in range(bounds[depth_cap + 1]):
+        front, cone = [((), i)], []
+        for _ in range(lookahead):
+            front = [(w + (j,), h) for w, g in front for j, h in geodesic_steps(g)]
+            cone += [w for w, _ in front]
+        t = frozenset(cone)
+        if t not in state_of_type:
+            state_of_type[t] = len(rep)
+            rep.append(i)
+        state_of_elem.append(state_of_type[t])
 
     edges: list[Edge] = []
-    for state, (g, depth) in enumerate(rep):
-        if depth > depth_cap - 1:
+    for state, i in enumerate(rep):
+        if depth[i] > depth_cap - 1:
             raise InconsistentAutomatonError(
-                f"state {state} first appears at depth {depth}; its transitions "
+                f"state {state} first appears at depth {depth[i]}; its transitions "
                 f"are not visible within radius {radius} (raise the radius)"
             )
-        for s in system.labels:
-            h = g @ system.matrix_of(s)
-            if dist.get(h) == depth + 1:
-                edges.append(Edge(state, state_of_elem[h], (s,)))
+        edges += [Edge(state, state_of_elem[h], (system.labels[j],)) for j, h in geodesic_steps(i)]
 
     graph = GraphStructure(system, len(rep), 0, tuple(edges))
     got = sphere_counts(graph, depth_cap)
-    want = tuple(len(spheres[n]) for n in range(depth_cap + 1))
+    want = tuple(bounds[n + 1] - bounds[n] for n in range(depth_cap + 1))
     if got != want:
         raise InconsistentAutomatonError(
             f"inconsistent automaton: path counts {got} != sphere counts {want} "
@@ -440,21 +438,22 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     system = graph.system
     dist, spheres = cayley_ball(system, radius)
     bfs_counts = tuple(len(s) for s in spheres) + (0,) * (radius + 1 - len(spheres))
-    seen: dict[GroupMatrix, tuple[str, ...]] = {}
+    seen: dict[Rows, tuple[str, ...]] = {}
     injective = True
     length_preserving = True
     witness: str | None = None
     auto_counts = [0] * (radius + 1)
     auto_counts[0] = 1
 
-    mat_stack = [GroupMatrix.identity(system.dim)]
+    cols = {s: tuple(zip(*m.rows)) for s, m in zip(system.labels, system.matrices)}
+    mat_stack = [GroupMatrix.identity(system.dim).rows]
     word_stack: list[str] = []
 
     def push(ei: int) -> None:
         e = graph.edges[ei]
         m = mat_stack[-1]
         for s in e.word:
-            m = m @ system.matrix_of(s)
+            m = _mul(m, cols[s])
         mat_stack.append(m)
         word_stack.extend(e.word)
 

@@ -175,6 +175,8 @@ def preset(name: str) -> Preset:
     Shipped presets are built once per process; a ``user:`` file is read on
     every call, so a rewritten file is never served stale.
     """
+    if not isinstance(name, str):
+        raise SpherecombError(f"preset must be a name or user:<path>, not {name!r}")
     if name.startswith("user:"):
         path = name[len("user:") :]
         if not path:

@@ -189,6 +189,12 @@ def test_spheres_cross_check(capsys):
     assert [int(r["path_count"]) for r in rows] == [1, 4, 12, 36, 108, 324]
 
 
+def test_spheres_n_max_zero_keeps_the_identity_row(capsys):
+    code, out, _ = run_cli(capsys, "spheres", "--n-max", "0", "--cross-check")
+    assert code == 0
+    assert out == "n,path_count,cayley_count,match\n0,1,1,true\n"
+
+
 def test_markov_cesaro_subcommand(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -258,12 +264,26 @@ def test_unknown_preset_exit_code(capsys):
         ["kappa", "--end", "99"],
         ["markov-cesaro", "--start", "99"],
         ["markov-cesaro", "--end", "-1"],
+        # a dict stands for a config file holding it: values of the wrong JSON type
+        ["equidist", "--config", {"basepoint": 0.5}],
+        ["equidist", "--config", {"k": 1}],
+        ["equidist", "--config", {"preset": 3}],
+        # ranges of lengths with no rows
+        ["equidist", "--n-max", "0"],
+        ["tv", "--n-max", "0"],
+        ["spheres", "--n-max", "-1"],
     ],
 )
-def test_bad_input_exits_2_with_error_line(capsys, argv):
+def test_bad_input_exits_2_with_error_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    for i, a in enumerate(argv):
+        if isinstance(a, dict):
+            cfg.write_text(json.dumps(a))
+            argv = argv[:i] + [str(cfg)] + argv[i + 1 :]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert "\n" not in err.rstrip("\n")
 
 
 _ORBIT_OPTIONS = {"preset", "basepoint", "k", "function", "output"}

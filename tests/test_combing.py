@@ -1,9 +1,13 @@
 """Graph structures, combing construction, path counting, verification, io."""
 
+import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecomb import (
     Edge,
@@ -19,6 +23,7 @@ from spherecomb import (
     loop_paths,
     p_step,
     preset,
+    preset_names,
     prune_small_growth,
     restrict,
     save_automaton,
@@ -33,7 +38,15 @@ from spherecomb.errors import (
     RadiusExhaustedError,
 )
 from spherecomb.algebra import GeneratorSystem
+from spherecomb.combing import cayley_ball
 from conftest import reduced_words, sanov_system
+
+
+def free_system(m: int) -> GeneratorSystem:
+    """<[[1,m],[0,1]], [[1,0],[m,1]]>, a free group of rank 2 for m >= 2."""
+    return GeneratorSystem.from_pairs(
+        [("a", "A", ((1, m), (0, 1))), ("b", "B", ((1, 0), (m, 1)))]
+    )
 
 
 def small_growth_graph():
@@ -80,6 +93,41 @@ def test_cayley_counts_match_reduced_word_count(sanov):
     assert list(counts) == brute
 
 
+def word_ball(system: GeneratorSystem, radius: int) -> list[list[GroupMatrix]]:
+    """Elements by word length, each listed once at its shortlex-least word.
+
+    Brute force: every word of length n <= radius, in lexicographic label
+    order, evaluated with ``GroupMatrix`` products.
+    """
+    seen: set[GroupMatrix] = set()
+    levels = []
+    for n in range(radius + 1):
+        level = []
+        for word in itertools.product(system.labels, repeat=n):
+            g = system.word_matrix(word)
+            if g not in seen:
+                seen.add(g)
+                level.append(g)
+        levels.append(level)
+    return levels
+
+
+BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + [
+    preset(name).system for name in preset_names()
+] + [GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BALL_SYSTEMS), st.integers(0, 5))
+def test_cayley_ball_matches_word_oracle(system, radius):
+    dist, spheres = cayley_ball(system, radius)
+    want = word_ball(system, radius)
+    assert dist == {g.rows: n for n, level in enumerate(want) for g in level}
+    padded = spheres + [[]] * (radius + 1 - len(spheres))
+    assert padded == [[g.rows for g in level] for level in want]
+    assert cayley_sphere_counts(system, radius) == tuple(len(level) for level in want)
+
+
 def test_enumerated_words_are_exactly_reduced_words(symbolic_graph, sanov):
     # path enumeration in edge order reproduces the brute-force recursion
     for n in (0, 1, 2, 4):
@@ -121,6 +169,41 @@ def test_cone_type_finite_group_exhausts_radius():
 def test_cone_type_insufficient_depth_is_inconsistent(sanov):
     with pytest.raises(InconsistentAutomatonError):
         build_cone_type_combing(sanov, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "system, digest",
+    [
+        (sanov_system(), "5e88b461f9c8f73db77ddeaeeeb457f5bf7b240b349ec4368ee846a9284b2ab7"),
+        (free_system(2), "5e88b461f9c8f73db77ddeaeeeb457f5bf7b240b349ec4368ee846a9284b2ab7"),
+        (free_system(3), "3f51ce402ade0fe0d8a10df96e66f6fdd9840bd6ac7950059a10c92974fa06f3"),
+        (free_system(4), "c5f296023a538f8bbd79ab90250d04f328e7d68a6e40f075f05dd5c3102a7d92"),
+    ],
+    ids=["sanov", "m2", "m3", "m4"],
+)
+def test_cone_type_automaton_files_match_pinned_digests(tmp_path, system, digest):
+    # sha256 of the saved automaton at radius 8, lookahead 2, recorded when
+    # the build still multiplied GroupMatrix objects and recomputed cone types
+    path = tmp_path / "auto.json"
+    save_automaton(build_cone_type_combing(system, 8, 2), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_ball_build_and_check_make_no_group_matrix_products(monkeypatch, sanov):
+    calls = []
+    product = GroupMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(GroupMatrix, "__matmul__", counted)
+    graph = build_cone_type_combing(sanov, 8, 2)
+    cayley_sphere_counts(sanov, 6)
+    verify_geodesic(graph, 5)
+    assert calls == []
+    sanov.word_matrix(("a", "b"))  # the boundary still multiplies GroupMatrix
+    assert len(calls) == 2
 
 
 def test_verify_geodesic_passes_on_presets():
