@@ -20,6 +20,7 @@ from spherecomb import (
     markov_cesaro,
     mc_spherical,
     orbit_tables,
+    perron_data,
     preset,
     preset_names,
     random_geodesic_average,
@@ -27,6 +28,7 @@ from spherecomb import (
     sphere_counts,
     sphere_series,
     spherical_average,
+    transition_matrix,
     word_act,
 )
 from spherecomb.algebra import MASK
@@ -339,3 +341,109 @@ def test_conjugate_frequency_conjugates_averages(free2_graph, free2_data, x2):
     ea = mc_spherical(free2_graph, free2_data, x2, TestFunction.character((1, 2)), 6, 2000, 5)
     eb = mc_spherical(free2_graph, free2_data, x2, TestFunction.character((-1, -2)), 6, 2000, 5)
     assert abs(eb.value - ea.value.conjugate()) <= 1e-12
+
+
+def _pinned_function(dim: int, n_terms: int) -> TestFunction:
+    """A fixed n-term trigonometric polynomial with unequal complex coefficients."""
+    return TestFunction(
+        tuple(
+            (
+                tuple((3 * i + 2 * j + 1) % 7 - 3 for j in range(dim)),
+                complex(1.0 / (i + 1), (-1) ** i * 0.3 * i),
+            )
+            for i in range(n_terms)
+        )
+    )
+
+
+# (preset, n, samples, seed, terms, inverse) -> sha256 of repr((value, stderr)),
+# recorded with the per-sample word_act loop that the batched layer replaced
+_MC_PINNED = {
+    ("free2_sanov", 1, 300, 0, 1, True): (
+        "d7b7aa7ab8ecb47f872628c8adb4306a4c2540df5595b392d874b697e50f60ff"
+    ),
+    ("free2_sanov", 5, 300, 1, 16, True): (
+        "c2527b64af5780d9b5eac13837bd21afbe9e71936e880739cb622f825689ff22"
+    ),
+    ("free2_sanov", 12, 300, 2, 1, False): (
+        "1980b16999d8781feee3459acd622b868b874841eadff56bb44b3b159c0e21dc"
+    ),
+    ("free2_sanov", 12, 300, 3, 16, False): (
+        "9f0a064d02d942b36c7dd441336d121954596ae730d56711f518bd078ba01d95"
+    ),
+    ("free2_sanov", 7, 1, 4, 3, True): (
+        "84c7129165b0bc7f342cd75286da81a01d4c2be4241262a7ef328e3461808eef"
+    ),
+    ("dinf_involutions", 5, 300, 5, 1, True): (
+        "fe7139ab4a9af9eb333ac0097e3931c40d624b9628df3423d5c149fb7e9d4f3d"
+    ),
+    ("dinf_involutions", 12, 300, 6, 8, False): (
+        "06641b2c82e076173b4dd565d65398d0054ea1b5391fca6e2382fb26e88c2a43"
+    ),
+    ("dinf_involutions", 9, 300, 7, 8, True): (
+        "41fb02f89b81d5085ced41884fef34573fc0d674e743e8e6c49a7006f80bbaa8"
+    ),
+    ("z_parabolic", 7, 300, 8, 4, True): (
+        "3a84894902404bb4214399c497ad8e0771ff3d2d347aa71da2f440ad9abc1e9a"
+    ),
+    ("z_parabolic", 10, 300, 9, 1, False): (
+        "827640eceff1a1ce8245c7f77fd739968f4b6a181b43264cf03f82c54671b059"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MC_PINNED), ids=str)
+def test_mc_spherical_matches_pinned_digests(case):
+    name, n, samples, seed, n_terms, inverse = case
+    ps = preset(name)
+    data = perron_data(transition_matrix(ps.graph))
+    f = _pinned_function(ps.system.dim, n_terms)
+    est = mc_spherical(ps.graph, data, ps.basepoint, f, n, samples, seed, inverse=inverse)
+    digest = hashlib.sha256(repr((est.value, est.stderr)).encode()).hexdigest()
+    assert digest == _MC_PINNED[case]
+
+
+# (preset, length, seed, terms, inverse, start) -> sha256 of repr(value), recorded
+# with the step-by-step tuple products that the prefix-product scan replaced
+_RAY_PINNED = {
+    ("free2_sanov", 3000, 0, 1, True, None): (
+        "74ef8a7ec5ae9d9bd5354062de05566ffc85c6f21a82b83c3b8a9bc4804c25f4"
+    ),
+    ("free2_sanov", 3000, 1, 8, True, None): (
+        "222101b939c5245ebbb3d65820c9b3028b7d4f766a34f3b1e2a83ac2b0e3f6ea"
+    ),
+    ("free2_sanov", 3000, 2, 1, False, None): (
+        "e95cae5e75c3f05a1a2f9cfc52c67c6af90ece80225c44fe7a159ad2e763003f"
+    ),
+    ("free2_sanov", 3000, 3, 8, False, "stationary"): (
+        "d9bee74c324d4b4fdc475c5558ad61943ada0ce310a0f0cf1b16a2e655a53dc2"
+    ),
+    ("free2_sanov", 1, 4, 3, False, None): (
+        "c72397f6554b8d7de7685b246a6a6ef28df1c53055def04ad764b0b3f01927b9"
+    ),
+    ("dinf_involutions", 2000, 5, 1, True, None): (
+        "20c29457edb7bf41453c0fc7366fca11a7af0c637679d8f856822c408eddfa8d"
+    ),
+    ("dinf_involutions", 2000, 6, 8, False, 1): (
+        "a401e12547c3105c102fce5975dfd36bb7855c5cbdb217e519b4781bb404ad34"
+    ),
+    ("z_parabolic", 1000, 7, 4, True, None): (
+        "65fded893fc7d3667240c97915937b53b5226d5538c3ca0f66245b18e42180d6"
+    ),
+    ("z_parabolic", 1000, 8, 1, False, None): (
+        "bf41a33856ba41678ea7f2f7a2f8b48d9f7e5b9ce9aaf74f588cd4a885b180e7"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAY_PINNED, key=repr), ids=str)
+def test_random_geodesic_average_matches_pinned_digests(case):
+    name, length, seed, n_terms, inverse, start = case
+    ps = preset(name)
+    model = build_markov(ps.graph)
+    f = _pinned_function(ps.system.dim, n_terms)
+    value = random_geodesic_average(
+        model, ps.basepoint, f, length, seed, start=start, inverse=inverse
+    )
+    digest = hashlib.sha256(repr(value).encode()).hexdigest()
+    assert digest == _RAY_PINNED[case]
