@@ -121,13 +121,44 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _check_config_value(key: str, value, default) -> None:
+    """Reject a config value that the option's flag could not give.
+
+    An integer option takes an integer, an integral number or a string that
+    parses as one; a flag option takes true or false; choices are enforced.
+    Null is taken only where it is the default.  The value itself is kept.
+    """
+    spec = _OPTIONS[key]
+    if value is None and default is None:
+        return
+    shown = json.dumps(value)
+    if spec.get("type") is int:
+        if isinstance(value, str):
+            try:
+                int(value)
+                return
+            except ValueError:
+                pass
+        elif isinstance(value, int) and not isinstance(value, bool):
+            return
+        elif isinstance(value, float) and value.is_integer():
+            return
+        raise SpherecombError(f"config key {key!r} must be an integer, not {shown}")
+    if spec.get("action") == "store_const" and not isinstance(value, bool):
+        raise SpherecombError(f"config key {key!r} must be true or false, not {shown}")
+    if "choices" in spec and value not in spec["choices"]:
+        choices = ", ".join(spec["choices"])
+        raise SpherecombError(f"config key {key!r} must be one of {choices}, not {shown}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys rejected."""
+    """defaults < config file < explicit flags; unknown keys and mistyped values rejected."""
     cfg = dict(defaults)
     file_cfg = _load_config(args.config)
     for key, value in file_cfg.items():
         if key not in defaults:
             raise SpherecombError(f"unknown config key {key!r} for this subcommand")
+        _check_config_value(key, value, defaults[key])
         cfg[key] = value
     for key in defaults:
         v = getattr(args, key, None)
@@ -247,8 +278,6 @@ def _cmd_equidist(cfg: dict) -> int:
     budget = int(cfg["budget"])
     inverse = not cfg["forward"]
     mode = cfg["mode"]
-    if mode not in ("exact", "mc", "auto"):
-        raise SpherecombError(f"mode must be exact, mc or auto, not {mode!r}")
     counts = sphere_counts(ps.graph, n_max)
     if mode == "auto":
         mode = "exact" if sum(counts) <= budget else "mc"

@@ -10,7 +10,12 @@ are in path-lexicographic edge order; sums are taken block-wise, with
 compensated accumulation across blocks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
-follow a single Markov ray; both are deterministic given a seed.
+follow a single Markov ray; both are deterministic given a seed.  They draw
+their paths one at a time, then move the basepoint with the kernel's uint64
+edge actions on whole arrays: Monte Carlo advances every sample one edge
+position at a time, and a ray takes the prefix products of its edge actions
+by a doubling scan.  One helper evaluates the test function on an array of
+points, bit for bit as :meth:`TestFunction.evaluate` does on each point.
 """
 
 from __future__ import annotations
@@ -23,14 +28,15 @@ import numpy as np
 
 from . import markov as markov_mod
 from . import spectral
-from .algebra import MASK, SCALE, GroupMatrix, TorusPoint, phase64, word_act
+from .algebra import MASK, SCALE, TorusPoint, phase64
 from .combing import GraphStructure, _backward_counts
 from .errors import BudgetExceededError, DimensionMismatchError, SpherecombError
 
 DEFAULT_BUDGET = 10**7
 
 _TWO_PI_OVER_SCALE = 2.0 * np.pi / SCALE
-_BLOCK = 4096
+_BLOCK = 4096  # rows summed pairwise before the compensated sum across blocks
+_RAY_BLOCK = 4096  # ray steps per prefix-product scan
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,8 @@ def _block_sum(vals: np.ndarray) -> complex:
     return complex(_neumaier(z.real for z in res), _neumaier(z.imag for z in res))
 
 
-def _edge_actions(graph: GraphStructure, inverse: bool) -> list[tuple[tuple[int, ...], ...]]:
-    """Per edge, the matrix applied to the running state, entries reduced mod 2**64."""
+def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
+    """Per edge, the (d, d) matrix applied to the running state, as uint64 (mod 2**64)."""
     system = graph.system
     acts = []
     for e in graph.edges:
@@ -111,18 +117,7 @@ def _edge_actions(graph: GraphStructure, inverse: bool) -> list[tuple[tuple[int,
         else:
             m = system.word_matrix(e.word)
         acts.append(tuple(tuple(v & MASK for v in row) for row in m.rows))
-    return acts
-
-
-def _apply_point(rows, pt):
-    return tuple(sum(a * b for a, b in zip(row, pt)) & MASK for row in rows)
-
-
-def _matmul_mod(left, right):
-    cols = tuple(zip(*right))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) & MASK for col in cols) for row in left
-    )
+    return np.array(acts, dtype=np.uint64).reshape(-1, system.dim, system.dim)
 
 
 def _check_length(n_max: int) -> None:
@@ -167,7 +162,7 @@ def orbit_tables(
     d = graph.system.dim
     # Per node the state is w^-1.x as a (d, 1) column, or in forward mode the
     # transpose of w, which a child's edge action A_e updates as A_e^T . state.
-    acts = np.array(_edge_actions(graph, inverse), dtype=np.uint64).reshape(-1, d, d)
+    acts = _edge_actions(graph, inverse)
     if inverse:
         state = np.array(x.coords, dtype=np.uint64).reshape(1, d, 1)
     else:
@@ -436,6 +431,27 @@ def markov_cesaro(
 # Monte Carlo mode
 
 
+def _f_values(f: TestFunction, pts: np.ndarray) -> np.ndarray:
+    """f at each row of an (N, d) uint64 array of torus points, as complex128.
+
+    Equal bit for bit to :meth:`TestFunction.evaluate` on every row: the terms
+    are added in order to a +0.0 start, and each c * e is written out in
+    float64 as Python multiplies two complex numbers (numpy's complex128
+    multiply may round differently).
+    """
+    if f.dim is not None and f.dim != pts.shape[1]:
+        raise DimensionMismatchError(f"frequency dim {f.dim} vs point dim {pts.shape[1]}")
+    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    for k, c in f.terms:
+        phases = np.zeros(pts.shape[0], dtype=np.uint64)
+        for i, ki in enumerate(k):
+            phases += pts[:, i] * np.uint64(ki & MASK)
+        e = np.exp(1j * (phases.astype(np.float64) * _TWO_PI_OVER_SCALE))
+        out.real += c.real * e.real - c.imag * e.imag
+        out.imag += c.real * e.imag + c.imag * e.real
+    return out
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Sample mean with its standard error."""
@@ -459,19 +475,25 @@ def mc_spherical(
     """Monte Carlo spherical average at length n under the prefix-then-uniform measure.
 
     For p* = 1 the sampling measure is exactly uniform counting measure, so
-    this estimates the exact spherical average without bias.
+    this estimates the exact spherical average without bias.  The paths are
+    drawn one by one; then all samples advance together, one level (edge
+    position) at a time, as batched uint64 products.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    d = graph.system.dim
+    if x.dim != d:
+        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
     lp = markov_mod.lambda_prime(graph, data, n)
     rng = markov_mod._as_rng(seed)
-    system = graph.system
-    values = np.empty(samples, dtype=np.complex128)
-    for s in range(samples):
-        path = lp.sample(rng)
-        word = graph.path_word(path)
-        y = word_act(word, x, system, inverse=inverse)
-        values[s] = f.evaluate(y)
+    paths = np.array([lp.sample(rng) for _ in range(samples)], dtype=np.intp)
+    paths = paths.reshape(samples, n)
+    acts = _edge_actions(graph, inverse)
+    # w^-1.x applies the edges' inverses first to last; w.x applies them last to first
+    state = np.tile(np.array(x.coords, dtype=np.uint64).reshape(1, d, 1), (samples, 1, 1))
+    for i in range(n) if inverse else reversed(range(n)):
+        state = acts[paths[:, i]] @ state
+    values = _f_values(f, state.reshape(samples, d))
     mean = complex(values.mean())
     if samples > 1:
         var = float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1))
@@ -494,27 +516,38 @@ def random_geodesic_average(
     """Time average (1/N) sum_{n=1..N} f(gamma(n)^-1 x) along one sampled ray.
 
     The ray is a Markov trajectory from the start vertex (the graph's initial
-    vertex by default); the orbit point is refined incrementally, one inverse
-    generator application per step.
+    vertex by default).  The orbit points of all its prefixes come from the
+    prefix products of the edge actions, formed by a doubling scan in uint64:
+    about log2 N batched matrix products instead of N scalar steps.
     """
     _check_length(n_max)
-    if start is None:
-        start = model.graph.initial
-    path = markov_mod.sample_path(model, start, n_max, seed)
     graph = model.graph
+    d = graph.system.dim
+    if x.dim != d:
+        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
+    if start is None:
+        start = graph.initial
+    path = markov_mod.sample_path(model, start, n_max, seed)
+    # prefix m of w^-1.x is A_m ... A_1 x; of w.x it is W_1 ... W_m x, whose
+    # transpose is the same left-to-right product over the transposes W_i^T.
+    # Each block of steps is scanned on its own and then carries on from the
+    # product so far, so the working arrays stay small on long rays.
     acts = _edge_actions(graph, inverse)
-    system = graph.system
-    if inverse:
-        state = x.coords
-    else:
-        state = tuple(tuple(r) for r in GroupMatrix.identity(system.dim).rows)
+    if not inverse:
+        acts = acts.transpose(0, 2, 1)
+    edges = np.array(path.edges, dtype=np.intp)
+    x_col = np.array(x.coords, dtype=np.uint64)
+    carry = np.eye(d, dtype=np.uint64)
     values = np.empty(n_max, dtype=np.complex128)
-    for i, ei in enumerate(path.edges):
-        if inverse:
-            state = _apply_point(acts[ei], state)
-            coords = state
-        else:
-            state = _matmul_mod(state, acts[ei])
-            coords = _apply_point(state, x.coords)
-        values[i] = f.evaluate(TorusPoint(coords))
+    for lo in range(0, n_max, _RAY_BLOCK):
+        prods = acts[edges[lo : lo + _RAY_BLOCK]]
+        shift = 1
+        while shift < len(prods):
+            prods[shift:] = prods[shift:] @ prods[:-shift]
+            shift *= 2
+        prods = prods @ carry
+        carry = prods[-1]
+        if not inverse:
+            prods = prods.transpose(0, 2, 1)
+        values[lo : lo + len(prods)] = _f_values(f, prods @ x_col)
     return _block_sum(values) / n_max

@@ -219,10 +219,9 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
     """
     verts = walk.vertices if isinstance(walk, SampledPath) else np.asarray(walk)
     arr = np.asarray(verts)
-    hits = np.nonzero(arr[1:] == target)[0] + 1
-    return ReturnTimeRecord(
-        target=target, length=len(arr) - 1, returns=tuple(int(h) for h in hits)
-    )
+    # a list of Python ints, with the index array freed before the tuple is built
+    hits = (np.nonzero(arr[1:] == target)[0] + 1).tolist()
+    return ReturnTimeRecord(target=target, length=len(arr) - 1, returns=tuple(hits))
 
 
 @dataclass(frozen=True)

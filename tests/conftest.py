@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spherecomb import (
     GeneratorSystem,
@@ -13,6 +14,11 @@ from spherecomb import (
     preset,
     transition_matrix,
 )
+
+# Property tests draw the same examples on every run and have no deadline, so
+# a slow shared host neither fails them nor changes what they check.
+settings.register_profile("reproducible", deadline=None, derandomize=True)
+settings.load_profile("reproducible")
 
 
 def sanov_system() -> GeneratorSystem:

@@ -268,6 +268,16 @@ def test_unknown_preset_exit_code(capsys):
         ["equidist", "--config", {"basepoint": 0.5}],
         ["equidist", "--config", {"k": 1}],
         ["equidist", "--config", {"preset": 3}],
+        # config values that the option's flag could not give
+        ["tv", "--config", {"n_max": None}],
+        ["equidist", "--config", {"samples": 2.7}],
+        ["equidist", "--config", {"seed": [1]}],
+        ["spheres", "--config", {"n_max": True}],
+        ["kappa", "--config", {"start": "first"}],
+        ["spheres", "--config", {"cross_check": "no"}],
+        ["equidist", "--config", {"json": 1}],
+        ["equidist", "--config", {"forward": None}],
+        ["equidist", "--config", {"mode": "fast"}],
         # ranges of lengths with no rows
         ["equidist", "--n-max", "0"],
         ["tv", "--n-max", "0"],
@@ -284,6 +294,24 @@ def test_bad_input_exits_2_with_error_line(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "\n" not in err.rstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "command, values, flags",
+    [
+        ("tv", {"n_max": 3.0}, ["--n-max", "3"]),
+        ("tv", {"n_max": "3"}, ["--n-max", "3"]),
+        ("kappa", {"n_max": 3, "start": None, "end": None}, ["--n-max", "3"]),
+        ("spheres", {"cross_check": False}, []),
+        ("equidist", {"n_max": 2, "mode": "exact"}, ["--n-max", "2", "--mode", "exact"]),
+    ],
+)
+def test_config_values_that_a_flag_could_give_are_taken(tmp_path, capsys, command, values, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    from_config = run_cli(capsys, command, "--config", str(cfg))
+    assert from_config[0] == 0, from_config[2]
+    assert from_config == run_cli(capsys, command, *flags)
 
 
 _ORBIT_OPTIONS = {"preset", "basepoint", "k", "function", "output"}

@@ -117,7 +117,7 @@ BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + [
 ] + [GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))])]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(BALL_SYSTEMS), st.integers(0, 5))
 def test_cayley_ball_matches_word_oracle(system, radius):
     dist, spheres = cayley_ball(system, radius)

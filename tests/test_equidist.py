@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spherecomb import (
     character_sums,
     enumerate_paths,
     kappa_average,
+    lambda_prime,
     markov_cesaro,
     mc_spherical,
     orbit_tables,
@@ -25,6 +27,7 @@ from spherecomb import (
     preset_names,
     random_geodesic_average,
     restrict,
+    sample_path,
     sphere_counts,
     sphere_series,
     spherical_average,
@@ -32,6 +35,8 @@ from spherecomb import (
     word_act,
 )
 from spherecomb.algebra import MASK
+from spherecomb import equidist
+from spherecomb.equidist import _block_sum
 from spherecomb.errors import BudgetExceededError, DimensionMismatchError
 from conftest import reduced_words
 
@@ -108,7 +113,7 @@ def test_orbit_tables_end_filter(free2_graph, x2):
         )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_orbit_tables_rows_follow_path_order(data):
     ps = preset(data.draw(st.sampled_from(preset_names())))
@@ -433,6 +438,13 @@ _RAY_PINNED = {
     ("z_parabolic", 1000, 8, 1, False, None): (
         "bf41a33856ba41678ea7f2f7a2f8b48d9f7e5b9ce9aaf74f588cd4a885b180e7"
     ),
+    # longer than one block of the prefix-product scan
+    ("free2_sanov", 10000, 9, 2, True, None): (
+        "4e4d5c8e29da0f78a152abbf82cf4885851db78197fb66b82b8d7f11a96bc156"
+    ),
+    ("dinf_involutions", 9000, 10, 3, False, None): (
+        "719dba9a2d2393957401ffe1decd2251c8e1cbbf185bc26e8d3b168b616f9f8e"
+    ),
 }
 
 
@@ -447,3 +459,76 @@ def test_random_geodesic_average_matches_pinned_digests(case):
     )
     digest = hashlib.sha256(repr(value).encode()).hexdigest()
     assert digest == _RAY_PINNED[case]
+
+
+def _draw_orbit_inputs(data):
+    """A shipped preset, a mode, a torus point and a 1- to 4-term test function."""
+    ps = preset(data.draw(st.sampled_from(preset_names())))
+    dim = ps.system.dim
+    x = TorusPoint(tuple(data.draw(st.integers(0, MASK)) for _ in range(dim)))
+    coeffs = st.floats(-4.0, 4.0)
+    terms = data.draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-5, 5)] * dim),
+                st.builds(complex, coeffs, coeffs),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return ps, data.draw(st.booleans()), x, TestFunction(tuple(terms))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_batched_mc_equals_per_sample_oracle(data):
+    # the oracle draws each path with lp.sample, moves x by word_act one
+    # generator at a time and evaluates f in Python, on a re-seeded generator
+    ps, inverse, x, f = _draw_orbit_inputs(data)
+    graph = ps.graph
+    spectral_data = perron_data(transition_matrix(graph))
+    n = data.draw(st.integers(0, 9))
+    samples = data.draw(st.just(1) | st.integers(2, 30))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got = mc_spherical(graph, spectral_data, x, f, n, samples, seed, inverse=inverse)
+    lp = lambda_prime(graph, spectral_data, n)
+    rng = np.random.default_rng(seed)
+    values = np.array(
+        [
+            f.evaluate(word_act(graph.path_word(lp.sample(rng)), x, ps.system, inverse=inverse))
+            for _ in range(samples)
+        ],
+        dtype=np.complex128,
+    )
+    if samples > 1:
+        var = float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1))
+        err = (var / samples) ** 0.5
+    else:
+        err = float("inf")
+    assert repr((got.value, got.stderr)) == repr((complex(values.mean()), err))
+    assert got.samples == samples
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_batched_ray_equals_word_act_on_every_prefix(data):
+    ps, inverse, x, f = _draw_orbit_inputs(data)
+    graph = ps.graph
+    model = build_markov(graph)
+    length = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    start = data.draw(st.sampled_from([None, "stationary", *range(graph.n_vertices)]))
+    # short scan blocks make the running product carry across blocks
+    block = data.draw(st.sampled_from([1, 3, 8, equidist._RAY_BLOCK]))
+    with mock.patch.object(equidist, "_RAY_BLOCK", block):
+        got = random_geodesic_average(model, x, f, length, seed, start=start, inverse=inverse)
+    path = sample_path(model, graph.initial if start is None else start, length, seed)
+    values = np.array(
+        [
+            f.evaluate(word_act(graph.path_word(path.edges[:m]), x, ps.system, inverse=inverse))
+            for m in range(1, length + 1)
+        ],
+        dtype=np.complex128,
+    )
+    assert repr(got) == repr(_block_sum(values) / length)
