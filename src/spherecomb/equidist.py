@@ -517,8 +517,9 @@ def random_geodesic_average(
 
     The ray is a Markov trajectory from the start vertex (the graph's initial
     vertex by default).  The orbit points of all its prefixes come from the
-    prefix products of the edge actions, formed by a doubling scan in uint64:
-    about log2 N batched matrix products instead of N scalar steps.
+    prefix products of the edge actions, formed in uint64 by a doubling scan
+    (log2 of the block length in batched matrix products per block of steps)
+    instead of N scalar steps.
     """
     _check_length(n_max)
     graph = model.graph

@@ -219,7 +219,8 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
     """
     verts = walk.vertices if isinstance(walk, SampledPath) else np.asarray(walk)
     arr = np.asarray(verts)
-    # a list of Python ints, with the index array freed before the tuple is built
+    # Python ints via tolist(); the index array is freed before the tuple is
+    # built, which keeps the peak memory of long walks down
     hits = (np.nonzero(arr[1:] == target)[0] + 1).tolist()
     return ReturnTimeRecord(target=target, length=len(arr) - 1, returns=tuple(hits))
 

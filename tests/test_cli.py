@@ -268,6 +268,10 @@ def test_unknown_preset_exit_code(capsys):
         ["equidist", "--config", {"basepoint": 0.5}],
         ["equidist", "--config", {"k": 1}],
         ["equidist", "--config", {"preset": 3}],
+        # ranges of lengths with no rows
+        ["equidist", "--n-max", "0"],
+        ["tv", "--n-max", "0"],
+        ["spheres", "--n-max", "-1"],
         # config values that the option's flag could not give
         ["tv", "--config", {"n_max": None}],
         ["equidist", "--config", {"samples": 2.7}],
@@ -278,10 +282,6 @@ def test_unknown_preset_exit_code(capsys):
         ["equidist", "--config", {"json": 1}],
         ["equidist", "--config", {"forward": None}],
         ["equidist", "--config", {"mode": "fast"}],
-        # ranges of lengths with no rows
-        ["equidist", "--n-max", "0"],
-        ["tv", "--n-max", "0"],
-        ["spheres", "--n-max", "-1"],
     ],
 )
 def test_bad_input_exits_2_with_error_line(tmp_path, capsys, argv):

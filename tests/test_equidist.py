@@ -36,7 +36,6 @@ from spherecomb import (
 )
 from spherecomb.algebra import MASK
 from spherecomb import equidist
-from spherecomb.equidist import _block_sum
 from spherecomb.errors import BudgetExceededError, DimensionMismatchError
 from conftest import reduced_words
 
@@ -531,4 +530,4 @@ def test_batched_ray_equals_word_act_on_every_prefix(data):
         ],
         dtype=np.complex128,
     )
-    assert repr(got) == repr(_block_sum(values) / length)
+    assert repr(got) == repr(equidist._block_sum(values) / length)
