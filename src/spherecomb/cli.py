@@ -121,45 +121,48 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_config_value(key: str, value, default) -> None:
-    """Reject a config value that the option's flag could not give.
+def _config_value(key: str, value, default):
+    """A config-file value as the option's flag would give it.
 
-    An integer option takes an integer, an integral number or a string that
-    parses as one; a flag option takes true or false; choices are enforced.
-    Null is taken only where it is the default.  The value itself is kept.
+    An integer option takes an integer, an integral number or an integer
+    string and gives ``int(value)``; a flag option takes true or false;
+    choices are enforced.  Null is taken only where it is the default.
     """
     spec = _OPTIONS[key]
     if value is None and default is None:
-        return
+        return None
     shown = json.dumps(value)
     if spec.get("type") is int:
         if isinstance(value, str):
             try:
-                int(value)
-                return
+                return int(value)
             except ValueError:
                 pass
         elif isinstance(value, int) and not isinstance(value, bool):
-            return
+            return value
         elif isinstance(value, float) and value.is_integer():
-            return
+            return int(value)
         raise SpherecombError(f"config key {key!r} must be an integer, not {shown}")
     if spec.get("action") == "store_const" and not isinstance(value, bool):
         raise SpherecombError(f"config key {key!r} must be true or false, not {shown}")
     if "choices" in spec and value not in spec["choices"]:
         choices = ", ".join(spec["choices"])
         raise SpherecombError(f"config key {key!r} must be one of {choices}, not {shown}")
+    return value
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown keys and mistyped values rejected."""
+    """defaults < config file < explicit flags; unknown keys and mistyped values rejected.
+
+    Config-file values are stored converted by :func:`_config_value`, so a
+    config file and the same values given as flags resolve to equal dicts.
+    """
     cfg = dict(defaults)
     file_cfg = _load_config(args.config)
     for key, value in file_cfg.items():
         if key not in defaults:
             raise SpherecombError(f"unknown config key {key!r} for this subcommand")
-        _check_config_value(key, value, defaults[key])
-        cfg[key] = value
+        cfg[key] = _config_value(key, value, defaults[key])
     for key in defaults:
         v = getattr(args, key, None)
         if v is not None:
@@ -169,7 +172,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 def _n_max(cfg: dict, least: int = 1) -> int:
     """The largest length N of a report; a range of lengths with no rows is an error."""
-    n_max = int(cfg["n_max"])
+    n_max = cfg["n_max"]
     if n_max < least:
         raise SpherecombError(f"N must be at least {least}, not {n_max}")
     return n_max
@@ -183,7 +186,8 @@ def _orbit_inputs(cfg: dict) -> tuple[Preset, TorusPoint, TestFunction]:
     """The preset, the basepoint (the preset's unless given) and the test function."""
     ps = preset(cfg["preset"])
     dim = ps.system.dim
-    x = ps.basepoint if cfg["basepoint"] is None else _parse_basepoint(cfg["basepoint"], dim)
+    spec = cfg["basepoint"]
+    x = ps.basepoint if spec is None else _parse_basepoint(spec, dim)
     return ps, x, _parse_function(cfg["k"], cfg["function"], dim)
 
 
@@ -253,14 +257,15 @@ def _cmd_spheres(cfg: dict) -> int:
     return 0
 
 
-def _mc_series(graph, data, x, f, n_max, samples, seed):
+def _mc_series(graph, data, x, f, n_max, samples, seed, inverse):
     """Per-length Monte Carlo estimates with running Cesaro means."""
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(n_max)
     sph, errs = [], []
     for n in range(1, n_max + 1):
         est = equidist.mc_spherical(
-            graph, data, x, f, n, samples, np.random.default_rng(children[n - 1])
+            graph, data, x, f, n, samples, np.random.default_rng(children[n - 1]),
+            inverse=inverse,
         )
         sph.append(est.value)
         errs.append(est.stderr)
@@ -275,7 +280,7 @@ def _mc_series(graph, data, x, f, n_max, samples, seed):
 def _cmd_equidist(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     n_max = _n_max(cfg)
-    budget = int(cfg["budget"])
+    budget = cfg["budget"]
     inverse = not cfg["forward"]
     mode = cfg["mode"]
     counts = sphere_counts(ps.graph, n_max)
@@ -287,7 +292,7 @@ def _cmd_equidist(cfg: dict) -> int:
     else:
         data = _spectral_for(ps)
         sph, ces, errs = _mc_series(
-            ps.graph, data, x, f, n_max, int(cfg["samples"]), int(cfg["seed"])
+            ps.graph, data, x, f, n_max, cfg["samples"], cfg["seed"], inverse
         )
     if cfg["json"]:
         report = {
@@ -333,11 +338,8 @@ def _weighted_report(cfg: dict, command: str, x, f, res, **extra) -> int:
 def _cmd_kappa(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     res = equidist.kappa_average(
-        ps.graph, x, f, int(cfg["n_max"]),
-        data=_spectral_for(ps),
-        start=None if cfg["start"] is None else int(cfg["start"]),
-        end=None if cfg["end"] is None else int(cfg["end"]),
-        budget=int(cfg["budget"]),
+        ps.graph, x, f, cfg["n_max"],
+        data=_spectral_for(ps), start=cfg["start"], end=cfg["end"], budget=cfg["budget"],
     )
     return _weighted_report(cfg, "kappa", x, f, res)
 
@@ -345,11 +347,9 @@ def _cmd_kappa(cfg: dict) -> int:
 def _cmd_markov_cesaro(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     model = markov.build_markov(ps.graph, _spectral_for(ps))
-    start = ps.graph.initial if cfg["start"] is None else int(cfg["start"])
-    end = ps.graph.initial if cfg["end"] is None else int(cfg["end"])
-    res = equidist.markov_cesaro(
-        model, x, f, int(cfg["n_max"]), start, end, budget=int(cfg["budget"])
-    )
+    start = ps.graph.initial if cfg["start"] is None else cfg["start"]
+    end = ps.graph.initial if cfg["end"] is None else cfg["end"]
+    res = equidist.markov_cesaro(model, x, f, cfg["n_max"], start, end, budget=cfg["budget"])
     return _weighted_report(cfg, "markov-cesaro", x, f, res, start=start, end=end)
 
 
@@ -367,9 +367,9 @@ def _cmd_tv(cfg: dict) -> int:
 def _cmd_sample_geodesic(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     model = markov.build_markov(ps.graph, _spectral_for(ps))
-    n = int(cfg["length"])
-    value = equidist.random_geodesic_average(model, x, f, n, int(cfg["seed"]))
-    path = markov.sample_path(model, ps.graph.initial, min(n, 40), int(cfg["seed"]))
+    n = cfg["length"]
+    value = equidist.random_geodesic_average(model, x, f, n, cfg["seed"])
+    path = markov.sample_path(model, ps.graph.initial, min(n, 40), cfg["seed"])
     report = {
         "config": _orbit_config(cfg, "sample-geodesic", f),
         "results": {
@@ -387,8 +387,8 @@ def _cmd_build_combing(cfg: dict) -> int:
     if cfg["output"] is None:
         raise SpherecombError("build-combing needs --output <file.json>")
     ps = preset(cfg["preset"])
-    graph = build_cone_type_combing(ps.system, int(cfg["radius"]), int(cfg["lookahead"]))
-    rep = combing.verify_geodesic(graph, int(cfg["verify_radius"]))
+    graph = build_cone_type_combing(ps.system, cfg["radius"], cfg["lookahead"])
+    rep = combing.verify_geodesic(graph, cfg["verify_radius"])
     if not rep.passed:
         raise SpherecombError(f"built automaton failed verification: {rep.witness}")
     save_automaton(graph, cfg["output"])
@@ -397,8 +397,8 @@ def _cmd_build_combing(cfg: dict) -> int:
         "results": {
             "n_vertices": graph.n_vertices,
             "n_edges": len(graph.edges),
-            "sphere_counts": list(sphere_counts(graph, int(cfg["verify_radius"]))),
-            "verified_to_radius": int(cfg["verify_radius"]),
+            "sphere_counts": list(sphere_counts(graph, cfg["verify_radius"])),
+            "verified_to_radius": cfg["verify_radius"],
         },
     }
     sys.stdout.write(_json_report(summary))

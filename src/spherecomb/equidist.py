@@ -201,6 +201,14 @@ def orbit_tables(
     return tables
 
 
+def _character_values(pts: np.ndarray, k: Sequence[int]) -> np.ndarray:
+    """chi_k at each row of an (N, d) uint64 array: exact phases mod 2**64, then exp."""
+    phases = np.zeros(pts.shape[0], dtype=np.uint64)
+    for i, ki in enumerate(k):
+        phases += pts[:, i] * np.uint64(int(ki) & MASK)
+    return np.exp(1j * (phases.astype(np.float64) * _TWO_PI_OVER_SCALE))
+
+
 def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
     """Sum of chi_k over each table, phases computed exactly mod 2**64."""
     out = []
@@ -212,11 +220,7 @@ def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
             raise DimensionMismatchError(
                 f"frequency has {len(k)} entries, torus has dimension {arr.shape[1]}"
             )
-        phases = np.zeros(arr.shape[0], dtype=np.uint64)
-        for i, ki in enumerate(k):
-            phases += arr[:, i] * np.uint64(int(ki) & MASK)
-        values = np.exp(1j * (phases.astype(np.float64) * _TWO_PI_OVER_SCALE))
-        out.append(_block_sum(values))
+        out.append(_block_sum(_character_values(arr, k)))
     return out
 
 
@@ -443,10 +447,7 @@ def _f_values(f: TestFunction, pts: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"frequency dim {f.dim} vs point dim {pts.shape[1]}")
     out = np.zeros(pts.shape[0], dtype=np.complex128)
     for k, c in f.terms:
-        phases = np.zeros(pts.shape[0], dtype=np.uint64)
-        for i, ki in enumerate(k):
-            phases += pts[:, i] * np.uint64(ki & MASK)
-        e = np.exp(1j * (phases.astype(np.float64) * _TWO_PI_OVER_SCALE))
+        e = _character_values(pts, k)
         out.real += c.real * e.real - c.imag * e.imag
         out.imag += c.real * e.imag + c.imag * e.real
     return out

@@ -123,27 +123,22 @@ def _component_period(a: np.ndarray, comp: list[int]) -> int:
     inside = set(comp)
     dist = {comp[0]: 0}
     frontier = [comp[0]]
-    g = 0
-    while frontier:
+    while frontier:  # breadth-first distances; a distance never changes once set
         nxt = []
         for u in frontier:
             for v in np.nonzero(a[u])[0]:
                 v = int(v)
-                if v not in inside:
-                    continue
-                if v in dist:
-                    g = gcd(g, dist[u] + 1 - dist[v])
-                else:
+                if v in inside and v not in dist:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    # edges between already-settled vertices that BFS skipped
+    g = 0
     for u in comp:
         for v in np.nonzero(a[u])[0]:
             v = int(v)
             if v in inside:
                 g = gcd(g, dist[u] + 1 - dist[v])
-    return abs(g)
+    return g
 
 
 def _component_radius(a: np.ndarray, comp: list[int]) -> float:
@@ -214,24 +209,10 @@ def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
             for s in comp_succ[ci]:
                 from_max[s] = True
 
-    # a path between two distinct maximal components makes lambda defective
-    joined = False
-    for ci in range(k):
-        if not maximal[ci]:
-            continue
-        seen = set()
-        todo = list(comp_succ[ci])
-        while todo:
-            c = todo.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            if maximal[c]:
-                joined = True
-                break
-            todo.extend(comp_succ[c])
-        if joined:
-            break
+    # a path between two distinct maximal components makes lambda defective; the
+    # condensation is acyclic, so a successor of a maximal component that reaches
+    # a maximal component reaches a different one
+    joined = any(maximal[ci] and any(reaches_max[s] for s in comp_succ[ci]) for ci in range(k))
     almost = (not joined) and lam > 0
 
     if lam > 0:

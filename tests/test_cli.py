@@ -5,8 +5,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from spherecomb import TestFunction, equidist, preset, spectral
 from spherecomb.cli import build_parser, main
 
 
@@ -179,6 +181,33 @@ def test_auto_mode_switches_to_mc_on_small_budget(capsys):
     assert all(r["mode"] == "mc" for r in rows)
 
 
+def test_mc_forward_averages_w_x(capsys):
+    argv = [
+        "equidist", "--n-max", "3", "--mode", "mc", "--samples", "200", "--seed", "1",
+        "--json",
+    ]
+    code, out, err = run_cli(capsys, *argv, "--forward")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    ps = preset("free2_sanov")
+    data = spectral.perron_data(spectral.transition_matrix(ps.graph))
+    f = TestFunction.character((1, 0))
+    children = np.random.SeedSequence(1).spawn(3)
+    for n, child in enumerate(children, start=1):
+        est = equidist.mc_spherical(
+            ps.graph, data, ps.basepoint, f, n, 200, np.random.default_rng(child),
+            inverse=False,
+        )
+        assert results["spherical"][n - 1] == [est.value.real, est.value.imag]
+        assert results["stderr"][n - 1] == est.stderr
+    assert json.loads(run_cli(capsys, *argv)[1])["results"] != results
+    # auto mode falling back to Monte Carlo averages the same way
+    auto = ["--mode", "auto", "--budget", "10", "--forward"]
+    code, out, err = run_cli(capsys, *argv, *auto)
+    assert code == 0, err
+    assert json.loads(out)["results"] == results
+
+
 def test_spheres_cross_check(capsys):
     code, out, _ = run_cli(
         capsys, "spheres", "--preset", "free2_sanov", "--n-max", "5", "--cross-check"
@@ -304,6 +333,8 @@ def test_bad_input_exits_2_with_error_line(tmp_path, capsys, argv):
         ("kappa", {"n_max": 3, "start": None, "end": None}, ["--n-max", "3"]),
         ("spheres", {"cross_check": False}, []),
         ("equidist", {"n_max": 2, "mode": "exact"}, ["--n-max", "2", "--mode", "exact"]),
+        ("kappa", {"n_max": "3"}, ["--n-max", "3"]),
+        ("markov-cesaro", {"n_max": 4.0, "start": "1"}, ["--n-max", "4", "--start", "1"]),
     ],
 )
 def test_config_values_that_a_flag_could_give_are_taken(tmp_path, capsys, command, values, flags):
@@ -392,18 +423,38 @@ def _as_flags(values: dict) -> list[str]:
     return argv
 
 
-@pytest.mark.parametrize("command", sorted(OPTIONS))
-def test_config_file_matches_flags_byte_for_byte(tmp_path, capsys, command):
+def _config_and_flag_reports(tmp_path, capsys, command, spell=lambda v: v) -> list:
+    """stdout and the written file of one run from a config file, one from flags.
+
+    ``spell`` rewrites each integer value in the config file only.
+    """
     out_file = tmp_path / "report.out"
     values = {**NON_DEFAULT[command], "output": str(out_file)}
     assert set(values) == OPTIONS[command]
+    spelled = {
+        k: spell(v) if isinstance(v, int) and not isinstance(v, bool) else v
+        for k, v in values.items()
+    }
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
+    cfg.write_text(json.dumps(spelled))
     reports = []
     for argv in (["--config", str(cfg)], _as_flags(values)):
         code, out, err = run_cli(capsys, command, *argv)
         assert code == 0, err
         reports.append((out, out_file.read_bytes()))
         out_file.unlink()
+    return reports
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_file_matches_flags_byte_for_byte(tmp_path, capsys, command):
+    reports = _config_and_flag_reports(tmp_path, capsys, command)
     assert reports[0] == reports[1]
     assert reports[0][1]
+
+
+@pytest.mark.parametrize("spell", [str, float])
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_config_integers_as_strings_or_floats_match_flags(tmp_path, capsys, command, spell):
+    reports = _config_and_flag_reports(tmp_path, capsys, command, spell)
+    assert reports[0] == reports[1]

@@ -1,7 +1,13 @@
 """Spectral radius, classification, limit matrix, eigendata."""
 
+from functools import reduce
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spherecomb import (
     a_infinity,
@@ -136,6 +142,51 @@ def test_joined_maximal_components_not_almost_semisimple():
     b[2, 3] = b[3, 2] = 1
     b[1, 2] = 1
     assert not classify(b).almost_semisimple
+
+
+@st.composite
+def _matrices(draw):
+    """n <= 8; with m > 0 the first and last m vertices carry equal diagonal
+    blocks, the 0/1 middle block is sparser, and no edge leads back to an
+    earlier block, so two maximal components, joined or not, are common."""
+    n = draw(st.integers(1, 8))
+    a = draw(arrays(np.int64, (n, n), elements=st.integers(0, 3) | st.just(0)))
+    m = draw(st.integers(0, n // 2))
+    if m:
+        a[n - m :, n - m :] = a[:m, :m]
+        a[m : n - m, m : n - m] //= 3
+        a[m:, :m] = 0
+        a[n - m :, : n - m] = 0
+        if draw(st.booleans()):  # joined, if at all, through the middle
+            a[:m, n - m :] = 0
+    return a
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_classify_matches_closure_and_trace_oracles(a):
+    n = a.shape[0]
+    # reach[u, v]: a path of length >= 1 from u to v (boolean transitive closure)
+    reach = a > 0
+    for w in range(n):
+        reach = reach | (reach[:, [w]] & reach[[w], :])
+    cls = classify(a)
+    for comp in cls.components:
+        u = comp[0]
+        assert set(comp) == {v for v in range(n) if v == u or (reach[u, v] and reach[v, u])}
+    maximal = [comp for comp, m in zip(cls.components, cls.maximal) if m]
+    joined = any(
+        reach[u, v] for c in maximal for d in maximal if c != d for u in c for v in d
+    )
+    assert cls.almost_semisimple == (cls.lam > 0 and not joined)
+    for comp, period in zip(cls.components, cls.periods):
+        sub = (a[np.ix_(comp, comp)] > 0).astype(np.int64)
+        power, closed = np.eye(len(comp), dtype=np.int64), []
+        for m in range(1, len(comp) + 1):
+            power = np.minimum(power @ sub, 1)
+            if np.trace(power) > 0:
+                closed.append(m)
+        assert period == reduce(gcd, closed, 0), comp
 
 
 def test_perron_data_errors():
