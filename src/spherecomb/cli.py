@@ -20,8 +20,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import combing, equidist, markov, spectral
 from .algebra import TorusPoint
 from .combing import build_cone_type_combing, cayley_sphere_counts, save_automaton, sphere_counts
@@ -257,53 +255,32 @@ def _cmd_spheres(cfg: dict) -> int:
     return 0
 
 
-def _mc_series(graph, data, x, f, n_max, samples, seed, inverse):
-    """Per-length Monte Carlo estimates with running Cesaro means."""
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(n_max)
-    sph, errs = [], []
-    for n in range(1, n_max + 1):
-        est = equidist.mc_spherical(
-            graph, data, x, f, n, samples, np.random.default_rng(children[n - 1]),
-            inverse=inverse,
-        )
-        sph.append(est.value)
-        errs.append(est.stderr)
-    ces = []
-    acc = 0.0 + 0.0j
-    for n, v in enumerate(sph, start=1):
-        acc += v
-        ces.append(acc / n)
-    return sph, ces, errs
-
-
 def _cmd_equidist(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     n_max = _n_max(cfg)
     budget = cfg["budget"]
     inverse = not cfg["forward"]
     mode = cfg["mode"]
-    counts = sphere_counts(ps.graph, n_max)
     if mode == "auto":
-        mode = "exact" if sum(counts) <= budget else "mc"
+        mode = "exact" if sum(sphere_counts(ps.graph, n_max)) <= budget else "mc"
     if mode == "exact":
         rep = equidist.sphere_series(ps.graph, x, f, n_max, inverse=inverse, budget=budget)
-        sph, ces, errs = list(rep.spherical), list(rep.cesaro), [None] * n_max
     else:
-        data = _spectral_for(ps)
-        sph, ces, errs = _mc_series(
-            ps.graph, data, x, f, n_max, cfg["samples"], cfg["seed"], inverse
+        rep = equidist.mc_series(
+            ps.graph, _spectral_for(ps), x, f, n_max, cfg["samples"], cfg["seed"],
+            inverse=inverse,
         )
+    errs = rep.stderr or [None] * n_max
     if cfg["json"]:
         report = {
             "config": _orbit_config(cfg, "equidist", f, mode=mode, **_ECHOED_WORKERS),
             "results": {
                 "basepoint_fix64": list(x.coords),
-                "n": list(range(1, n_max + 1)),
-                "path_count": list(counts[1:]),
-                "spherical": [[v.real, v.imag] for v in sph],
-                "cesaro": [[v.real, v.imag] for v in ces],
-                "stderr": [e for e in errs],
+                "n": list(rep.ns),
+                "path_count": list(rep.path_counts),
+                "spherical": [[v.real, v.imag] for v in rep.spherical],
+                "cesaro": [[v.real, v.imag] for v in rep.cesaro],
+                "stderr": list(errs),
             },
         }
         _write_text(cfg["output"], _json_report(report))
@@ -313,9 +290,9 @@ def _cmd_equidist(cfg: dict) -> int:
         "cesaro_re", "cesaro_im", "mode", "stderr",
     ]
     rows = [
-        [n, counts[n], _fmt(s.real), _fmt(s.imag), _fmt(c.real), _fmt(c.imag), mode,
+        [n, count, _fmt(s.real), _fmt(s.imag), _fmt(c.real), _fmt(c.imag), mode,
          "" if e is None else _fmt(e)]
-        for n, s, c, e in zip(range(1, n_max + 1), sph, ces, errs)
+        for n, count, s, c, e in zip(rep.ns, rep.path_counts, rep.spherical, rep.cesaro, errs)
     ]
     _write_text(cfg["output"], _csv_text(header, rows))
     return 0

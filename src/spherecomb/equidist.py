@@ -29,7 +29,7 @@ import numpy as np
 from . import markov as markov_mod
 from . import spectral
 from .algebra import MASK, SCALE, TorusPoint, phase64
-from .combing import GraphStructure, _backward_counts
+from .combing import GraphStructure, _backward_counts, sphere_counts
 from .errors import BudgetExceededError, DimensionMismatchError, SpherecombError
 
 DEFAULT_BUDGET = 10**7
@@ -239,7 +239,10 @@ def _function_sums(tables: list[np.ndarray], f: TestFunction) -> list[complex]:
 
 @dataclass(frozen=True)
 class AveragingReport:
-    """Spherical and Cesaro averages for n = 1..N, with their path counts."""
+    """Spherical and Cesaro averages for n = 1..N, with their path counts.
+
+    Only a Monte Carlo report (``mode="mc"``) sets stderr, samples and seed.
+    """
 
     mode: str
     inverse: bool
@@ -282,11 +285,6 @@ def sphere_series(
         if counts[n] == 0:
             raise SpherecombError(f"no paths of length {n} from the start vertex")
         sph.append(sums[n] / counts[n])
-    ces = []
-    acc = 0.0 + 0.0j
-    for n, v in enumerate(sph, start=1):
-        acc += v
-        ces.append(acc / n)
     return AveragingReport(
         mode="exact",
         inverse=inverse,
@@ -295,8 +293,18 @@ def sphere_series(
         ns=tuple(range(1, n_max + 1)),
         path_counts=tuple(counts[1:]),
         spherical=tuple(sph),
-        cesaro=tuple(ces),
+        cesaro=_running_means(sph),
     )
+
+
+def _running_means(values: Sequence[complex]) -> tuple[complex, ...]:
+    """Cesaro means (1/n) sum_{m=1..n} values[m-1] for n = 1..len(values)."""
+    out = []
+    acc = 0.0 + 0.0j
+    for n, v in enumerate(values, start=1):
+        acc += v
+        out.append(acc / n)
+    return tuple(out)
 
 
 def spherical_average(
@@ -502,6 +510,43 @@ def mc_spherical(
     else:
         err = float("inf")
     return McEstimate(value=mean, stderr=err, samples=samples)
+
+
+def mc_series(
+    graph: GraphStructure,
+    data: spectral.SpectralData,
+    x: TorusPoint,
+    f: TestFunction,
+    n_max: int,
+    samples: int,
+    seed: int,
+    *,
+    inverse: bool = True,
+) -> AveragingReport:
+    """Monte Carlo counterpart of :func:`sphere_series`: one estimate per n = 1..n_max.
+
+    Level n samples with the n-th child of ``SeedSequence(seed).spawn(n_max)``.
+    """
+    _check_length(n_max)
+    children = np.random.SeedSequence(seed).spawn(n_max)
+    ests = [
+        mc_spherical(graph, data, x, f, n, samples, child, inverse=inverse)
+        for n, child in enumerate(children, start=1)
+    ]
+    sph = [est.value for est in ests]
+    return AveragingReport(
+        mode="mc",
+        inverse=inverse,
+        basepoint=x,
+        function=f,
+        ns=tuple(range(1, n_max + 1)),
+        path_counts=sphere_counts(graph, n_max)[1:],
+        spherical=tuple(sph),
+        cesaro=_running_means(sph),
+        stderr=tuple(est.stderr for est in ests),
+        samples=samples,
+        seed=seed,
+    )
 
 
 def random_geodesic_average(

@@ -12,13 +12,14 @@ growth otherwise.  The canonical right eigenvector p is positive exactly on
 large-growth vertices; the canonical left eigenvector q is supported on
 vertices reachable from maximal components.  Both are obtained from A_inf by
 averaging over residue classes mod p*, which makes them genuine eigenvectors
-of A itself and pins the normalization sum_i p_i q_i = 1.
+of A itself and pins the normalization sum_i p_i q_i = 1; their residuals
+|Ap - lambda p| and |qA - lambda q| are checked before they are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,6 +39,8 @@ MAXIMAL_RADIUS_RTOL = 1e-9
 
 _A_INF_TOL = 1e-12
 _A_INF_MAX_ITER = 10**6
+#: bound on max|Ap - lam p| / (lam max|p|) and on max|qA - lam q| / (lam max|q|)
+_RESIDUAL_RTOL = 1e-9
 
 
 def transition_matrix(graph: "GraphStructure") -> np.ndarray:
@@ -166,15 +169,13 @@ class Classification:
     p_star: int
 
 
-def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
+def classify(a: np.ndarray) -> Classification:
     """Classify a square nonnegative integer matrix.
 
-    primitive  ==> semisimple ==> almost semisimple.  Almost semisimplicity is
-    decided structurally (no directed path joins two distinct maximal
-    components) and cross-checked by boundedness of A^n / lambda^n.
-
-    ``lam`` overrides the leading eigenvalue used to flag maximal components;
-    by default it is the largest component spectral radius of A itself.
+    primitive  ==> semisimple ==> almost semisimple.  The leading eigenvalue
+    is the largest component spectral radius, and almost semisimplicity is
+    decided structurally: no directed path joins two distinct maximal
+    components.  :func:`perron_data` checks the eigendata this promises.
     """
     a = _check_matrix(a)
     n = a.shape[0]
@@ -186,8 +187,7 @@ def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
             comp_of[v] = ci
     radii = [_component_radius(a, comp) for comp in sccs]
     periods = [_component_period(a, comp) for comp in sccs]
-    if lam is None:
-        lam = max(radii) if radii else 0.0
+    lam = max(radii, default=0.0)
     maximal = [r >= lam * (1.0 - MAXIMAL_RADIUS_RTOL) and lam > 0 for r in radii]
 
     k = len(sccs)
@@ -201,10 +201,8 @@ def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
     reaches_max = [False] * k
     for ci in range(k):
         reaches_max[ci] = maximal[ci] or any(reaches_max[s] for s in comp_succ[ci])
-    from_max = [False] * k
+    from_max = list(maximal)
     for ci in reversed(range(k)):  # topological order
-        if maximal[ci]:
-            from_max[ci] = True
         if from_max[ci]:
             for s in comp_succ[ci]:
                 from_max[s] = True
@@ -215,17 +213,10 @@ def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
     joined = any(maximal[ci] and any(reaches_max[s] for s in comp_succ[ci]) for ci in range(k))
     almost = (not joined) and lam > 0
 
-    if lam > 0:
-        _crosscheck_boundedness(a, lam, structural_almost=almost)
-
     max_periods = [periods[ci] for ci in range(k) if maximal[ci]]
-    p_star = 1
-    for h in max_periods:
-        p_star = p_star * h // gcd(p_star, h)
+    p_star = lcm(*max_periods)  # 1 when there is no maximal component
     semisimple = almost and all(h == 1 for h in max_periods)
-    primitive = (
-        len(sccs) == 1 and lam > 0 and periods[0] == 1
-    )
+    primitive = len(sccs) == 1 and lam > 0 and periods[0] == 1
 
     return Classification(
         components=tuple(tuple(c) for c in sccs),
@@ -239,58 +230,30 @@ def classify(a: np.ndarray, *, lam: float | None = None) -> Classification:
         primitive=primitive,
         almost_semisimple=almost,
         semisimple=semisimple,
-        p_star=max(p_star, 1),
+        p_star=p_star,
     )
 
 
-def _crosscheck_boundedness(a: np.ndarray, lam: float, structural_almost: bool) -> None:
-    """Defensive check: defectiveness of lambda shows up as growth of A^n / lambda^n."""
-    n = a.shape[0]
-    m = a.astype(float) / lam
-    power = np.eye(n)
-    norms = []
-    for _ in range(4 * n):
-        power = power @ m
-        norms.append(float(np.max(np.abs(power))))
-    if len(norms) < 8:
-        return
-    half = len(norms) // 2
-    early = max(norms[:half])
-    late = max(norms[half:])
-    grows = late > 1.5 * early + 1e-9
-    if structural_almost and grows:
-        raise SpherecombError(
-            "internal inconsistency: structure says almost semisimple "
-            "but A^n/lambda^n grows"
-        )
-
-
-def a_infinity(
-    a: np.ndarray,
-    p_star: int,
-    lam: float,
-    *,
-    tol: float = _A_INF_TOL,
-    max_iter: int = _A_INF_MAX_ITER,
-) -> np.ndarray:
+def a_infinity(a: np.ndarray, p_star: int, lam: float) -> np.ndarray:
     """Limit of A^(p* n) / lambda^(p* n), by iterated multiplication.
 
     Iterates B <- B @ B0 with B0 = (A / lambda)^p* until successive iterates
-    differ by less than ``tol`` in max norm.
+    differ by less than ``_A_INF_TOL`` in max norm, for at most
+    ``_A_INF_MAX_ITER`` steps.
     """
     a = _check_matrix(a)
     if lam <= 0:
         raise NilpotentMatrixError("leading eigenvalue is zero; A^n/lambda^n is undefined")
     b0 = np.linalg.matrix_power(a.astype(float) / lam, p_star)
     b = b0.copy()
-    for _ in range(max_iter):
+    for _ in range(_A_INF_MAX_ITER):
         nxt = b @ b0
-        if float(np.max(np.abs(nxt - b))) < tol:
+        if float(np.max(np.abs(nxt - b))) < _A_INF_TOL:
             b = nxt
             break
         b = nxt
     else:
-        raise SpherecombError(f"A_inf iteration did not converge within {max_iter} steps")
+        raise SpherecombError(f"A_inf iteration did not converge within {_A_INF_MAX_ITER} steps")
     return np.where(b < 0, 0.0, b)
 
 
@@ -370,7 +333,10 @@ def perron_data(a: np.ndarray) -> SpectralData:
 
     Raises NilpotentMatrixError when A has no cycle and NotAlmostSemisimpleError
     when the leading eigenvalue is defective (two maximal components joined by
-    a path); eigendata would not exist in either case.
+    a path); eigendata would not exist in either case.  The returned vectors
+    are checked: SpherecombError is raised when max|Ap - lam p| exceeds
+    ``_RESIDUAL_RTOL * lam * max|p|``, or max|qA - lam q| exceeds
+    ``_RESIDUAL_RTOL * lam * max|q|``.
     """
     a = _check_matrix(a)
     cls = classify(a)
@@ -391,6 +357,14 @@ def perron_data(a: np.ndarray) -> SpectralData:
         b = a_infinity(a, cls.p_star, lam)
         p, q, pi = _eigvectors_from_a_inf(a_f, b, lam, cls.p_star, cls)
         lam = float(q @ (a_f @ p))
+    for name, residual, v in (
+        ("Ap - lam p", a_f @ p - lam * p, p),
+        ("qA - lam q", q @ a_f - lam * q, q),
+    ):
+        worst = float(np.max(np.abs(residual)))
+        bound = _RESIDUAL_RTOL * lam * float(np.max(np.abs(v)))
+        if worst > bound:
+            raise SpherecombError(f"eigendata check failed: max|{name}| {worst:.3g} > {bound:.3g}")
     b.setflags(write=False)
     a_ro = a.copy()
     a_ro.setflags(write=False)

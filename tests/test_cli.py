@@ -206,6 +206,14 @@ def test_mc_forward_averages_w_x(capsys):
     code, out, err = run_cli(capsys, *argv, *auto)
     assert code == 0, err
     assert json.loads(out)["results"] == results
+    # the library's Monte Carlo series is the report's
+    rep = equidist.mc_series(ps.graph, data, ps.basepoint, f, 3, 200, 1, inverse=False)
+    assert rep.mode == "mc" and (rep.samples, rep.seed) == (200, 1)
+    assert results["n"] == list(rep.ns)
+    assert results["path_count"] == list(rep.path_counts)
+    assert results["spherical"] == [[v.real, v.imag] for v in rep.spherical]
+    assert results["cesaro"] == [[v.real, v.imag] for v in rep.cesaro]
+    assert results["stderr"] == list(rep.stderr)
 
 
 def test_spheres_cross_check(capsys):
@@ -266,6 +274,27 @@ def test_build_combing_and_user_preset(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["path_count"]) for r in rows] == [1, 4, 12, 36, 108]
+
+
+def test_analyze_sub_maximal_component_feeding_the_maximal_one(tmp_path, capsys):
+    # transition matrix [[2,1,0,0,0],[0,0,0,1,0],[0,0,1,0,0],[0,2,2,0,1],[0,1,2,2,0]],
+    # with parallel edges for the 2s: almost semisimple, lambda = 2.11491
+    rows = [[2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 2, 2, 0, 1], [0, 1, 2, 2, 0]]
+    auto = tmp_path / "feeds_maximal.json"
+    auto.write_text(json.dumps({
+        "dim": 1,
+        "generators": [{"label": "a", "inverse": "A", "matrix": [[1]]},
+                       {"label": "A", "inverse": "a", "matrix": [[1]]}],
+        "vertices": 5,
+        "initial": 0,
+        "edges": [[u, v, "a"] for u, row in enumerate(rows) for v, m in enumerate(row)
+                  for _ in range(m)],
+    }))
+    code, out, err = run_cli(capsys, "analyze", "--preset", f"user:{auto}")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["class"] == "semisimple"
+    assert abs(res["lam"] - 2.11491) <= 1e-5
 
 
 def test_build_combing_requires_output(capsys):

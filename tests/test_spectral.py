@@ -1,5 +1,6 @@
 """Spectral radius, classification, limit matrix, eigendata."""
 
+import dataclasses
 from functools import reduce
 from math import gcd
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spherecomb import (
+    SpherecombError,
     a_infinity,
     classify,
     growth_constants,
@@ -17,8 +19,26 @@ from spherecomb import (
     preset,
     transition_matrix,
 )
+from spherecomb import spectral
 from spherecomb.errors import NilpotentMatrixError, NotAlmostSemisimpleError
 from conftest import random_scc_matrix
+
+# almost semisimple (lambda = 2.11491 on {1, 3, 4}); the radius-2 vertex 0
+# feeds that component, so A^n / lambda^n carries a slowly decaying transient
+# n (2 / lambda)^n
+FEEDS_MAXIMAL = np.array(
+    [[2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 2, 2, 0, 1], [0, 1, 2, 2, 0]]
+)
+
+
+def _assert_eigendata_checked(a, data):
+    """lambda against an independent oracle, a dense eigensolve of the full
+    matrix; relative residuals of p and q at most 1e-10."""
+    lam, p, q = data.lam, data.p, data.q
+    lam_np = max(abs(v) for v in np.linalg.eigvals(a.astype(float)))
+    assert abs(lam - lam_np) <= 1e-8 * max(1.0, lam_np)
+    assert np.max(np.abs(a @ p - lam * p)) <= 1e-10 * lam * np.max(np.abs(p))
+    assert np.max(np.abs(q @ a - lam * q)) <= 1e-10 * lam * np.max(np.abs(q))
 
 
 def test_transition_matrix_free2(free2_graph):
@@ -60,13 +80,8 @@ def test_eigen_residuals_on_random_strongly_connected(seed=20260816):
     for _ in range(30):
         a = random_scc_matrix(rng, max_n=8)
         data = perron_data(a)
-        lam, p, q = data.lam, data.p, data.q
-        # independent oracle: dense eigensolver of the full matrix
-        lam_np = max(abs(v) for v in np.linalg.eigvals(a.astype(float)))
-        assert abs(lam - lam_np) <= 1e-8 * max(1.0, lam_np)
-        assert np.max(np.abs(a @ p - lam * p)) <= 1e-10 * lam * np.max(np.abs(p))
-        assert np.max(np.abs(q @ a - lam * q)) <= 1e-10 * lam * np.max(np.abs(q))
-        assert abs(float(p @ q) - 1.0) <= 1e-12
+        _assert_eigendata_checked(a, data)
+        assert abs(float(data.p @ data.q) - 1.0) <= 1e-12
 
 
 def test_classification_truth_table(free2_graph):
@@ -187,6 +202,49 @@ def test_classify_matches_closure_and_trace_oracles(a):
             if np.trace(power) > 0:
                 closed.append(m)
         assert period == reduce(gcd, closed, 0), comp
+
+
+def test_sub_maximal_component_feeding_the_maximal_one():
+    cls = classify(FEEDS_MAXIMAL)
+    assert cls.semisimple and cls.p_star == 1
+    assert cls.components[cls.maximal.index(True)] == (1, 3, 4)
+    data = perron_data(FEEDS_MAXIMAL)
+    assert abs(data.lam - 2.11491) <= 1e-5
+    _assert_eigendata_checked(FEEDS_MAXIMAL, data)
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_almost_semisimple_matrices_have_checked_eigendata(a):
+    if classify(a).almost_semisimple:
+        _assert_eigendata_checked(a, perron_data(a))
+
+
+def test_forced_almost_semisimple_on_joined_components_raises(monkeypatch):
+    # two radius-2 loops joined by an edge: lambda = 2 is defective
+    joined = np.array([[2, 1], [0, 2]])
+    cls = classify(joined)
+    assert not cls.almost_semisimple
+    forced = dataclasses.replace(cls, almost_semisimple=True, semisimple=True)
+    monkeypatch.setattr(spectral, "classify", lambda a: forced)
+    monkeypatch.setattr(spectral, "_A_INF_MAX_ITER", 1000)
+    with pytest.raises(SpherecombError, match="did not converge"):
+        perron_data(joined)
+
+
+def test_perturbed_eigenvectors_fail_the_residual_check(monkeypatch):
+    a = transition_matrix(preset("free2_sanov").graph)
+    eigvectors = spectral._eigvectors_from_a_inf
+
+    def perturbed(*args):
+        # q vanishes on the initial vertex 0, which no edge enters, so the
+        # Rayleigh quotient q A p, and with it lambda, does not see the bump
+        p, q, pi = eigvectors(*args)
+        return p + 1e-6 * (np.arange(len(p)) == 0), q, pi
+
+    monkeypatch.setattr(spectral, "_eigvectors_from_a_inf", perturbed)
+    with pytest.raises(SpherecombError, match=r"eigendata check failed: max\|Ap - lam p\|"):
+        perron_data(a)
 
 
 def test_perron_data_errors():
