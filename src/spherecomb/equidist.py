@@ -6,8 +6,10 @@ function; Cesaro, counting-weighted and Markov-weighted variants follow.
 All exact-mode enumeration shares one level-synchronous kernel that records
 the orbit coordinates per path length as unsigned 64-bit arrays, so a whole
 family of characters can be averaged from a single pass.  Rows, and so sums,
-are in path-lexicographic edge order; sums are taken block-wise, with
-compensated accumulation across blocks.
+are in path-lexicographic edge order.  Character sums are reduced block by
+block: each block of rows is evaluated and summed pairwise on its own, with
+compensated accumulation across blocks, and a frequency that several terms
+of a test function share is summed once.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  They draw
@@ -98,13 +100,18 @@ def _neumaier(values) -> float:
     return s + comp
 
 
+def _across_blocks(block_sums: list[complex]) -> complex:
+    """Compensated sum of per-block sums, real and imaginary parts apart."""
+    return complex(
+        _neumaier(z.real for z in block_sums), _neumaier(z.imag for z in block_sums)
+    )
+
+
 def _block_sum(vals: np.ndarray) -> complex:
     """Deterministic sum: pairwise inside blocks, compensated across blocks."""
-    n = len(vals)
-    if n == 0:
-        return 0.0 + 0.0j
-    res = [complex(vals[i : i + _BLOCK].sum()) for i in range(0, n, _BLOCK)]
-    return complex(_neumaier(z.real for z in res), _neumaier(z.imag for z in res))
+    return _across_blocks(
+        [complex(vals[i : i + _BLOCK].sum()) for i in range(0, len(vals), _BLOCK)]
+    )
 
 
 def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
@@ -210,26 +217,40 @@ def _character_values(pts: np.ndarray, k: Sequence[int]) -> np.ndarray:
 
 
 def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
-    """Sum of chi_k over each table, phases computed exactly mod 2**64."""
-    out = []
+    """Sum of chi_k over each table, phases computed exactly mod 2**64.
+
+    Each table is evaluated and summed one block of rows at a time, so the
+    block's temporaries stay small; the sums equal ``_block_sum`` of the
+    whole table's character values.
+    """
     for arr in tables:
-        if arr.shape[0] == 0:
-            out.append(0.0 + 0.0j)
-            continue
         if len(k) != arr.shape[1]:
             raise DimensionMismatchError(
                 f"frequency has {len(k)} entries, torus has dimension {arr.shape[1]}"
             )
-        out.append(_block_sum(_character_values(arr, k)))
-    return out
+    return [
+        _across_blocks(
+            [
+                complex(_character_values(arr[i : i + _BLOCK], k).sum())
+                for i in range(0, arr.shape[0], _BLOCK)
+            ]
+        )
+        for arr in tables
+    ]
 
 
 def _function_sums(tables: list[np.ndarray], f: TestFunction) -> list[complex]:
-    """Sum of f over each table: per-character sums combined by coefficients."""
+    """Sum of f over each table: per-character sums combined by coefficients.
+
+    A frequency that occurs in several terms is summed once; the terms are
+    still added in order.
+    """
+    by_freq: dict[tuple[int, ...], list[complex]] = {}
     totals = [0.0 + 0.0j] * len(tables)
     for k, coeff in f.terms:
-        sums = character_sums(tables, k)
-        totals = [t + coeff * s for t, s in zip(totals, sums)]
+        if k not in by_freq:
+            by_freq[k] = character_sums(tables, k)
+        totals = [t + coeff * s for t, s in zip(totals, by_freq[k])]
     return totals
 
 
@@ -277,6 +298,7 @@ def sphere_series(
     One level-synchronous pass serves all lengths: the average over paths of
     length n sums the level-n table, rows in path-lexicographic edge order.
     """
+    _check_length(n_max)
     tables = orbit_tables(graph, x, n_max, inverse=inverse, budget=budget)
     sums = _function_sums(tables, f)
     counts = [t.shape[0] for t in tables]

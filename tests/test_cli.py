@@ -4,6 +4,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,20 @@ def test_spheres_n_max_zero_keeps_the_identity_row(capsys):
     code, out, _ = run_cli(capsys, "spheres", "--n-max", "0", "--cross-check")
     assert code == 0
     assert out == "n,path_count,cayley_count,match\n0,1,1,true\n"
+
+
+def test_python_m_spherecomb_runs_the_cli(capsys):
+    argv = ["equidist", "--preset", "free2_sanov", "--n-max", "4", "--k", "1,2"]
+    code, out, _ = run_cli(capsys, *argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherecomb", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0
 
 
 def test_markov_cesaro_subcommand(capsys):

@@ -167,6 +167,17 @@ def test_character_sums_match_direct_evaluation(free2_graph, x2):
         assert abs(sums[n] - direct) <= 1e-10
 
 
+def test_character_sums_check_the_dimension_of_empty_tables(free2_graph, x2):
+    with pytest.raises(DimensionMismatchError):
+        character_sums([np.zeros((0, 2), dtype=np.uint64)], (1, 2, 3))
+    # an end filter can leave a level empty
+    tables = orbit_tables(free2_graph, x2, 3, start=1, end=3)
+    assert tables[0].shape == (0, 2)
+    with pytest.raises(DimensionMismatchError):
+        character_sums(tables, (1,))
+    assert character_sums(tables, (1, 2))[0] == 0.0 + 0.0j
+
+
 def test_spherical_average_trivial_character_is_exactly_one(free2_graph, x2):
     f0 = TestFunction.character((0, 0))
     for n in (1, 3, 7):
@@ -196,6 +207,14 @@ def test_sphere_series_cesaro_is_running_mean(free2_graph, x2):
         acc += rep.spherical[i]
         assert abs(rep.cesaro[i] - acc / n) <= 1e-15
     assert cesaro_average(free2_graph, x2, f, 6) == rep.cesaro[-1]
+
+
+def test_sphere_series_rejects_lengths_below_one(free2_graph, x2):
+    f = TestFunction.character((1, -1))
+    with pytest.raises(ValueError, match="at least 1"):
+        cesaro_average(free2_graph, x2, f, 0)
+    with pytest.raises(ValueError, match="at least 1"):
+        sphere_series(free2_graph, x2, f, -1)
 
 
 def test_averages_decay_on_free_group(free2_graph, x2):
@@ -531,3 +550,73 @@ def test_batched_ray_equals_word_act_on_every_prefix(data):
         dtype=np.complex128,
     )
     assert repr(got) == repr(equidist._block_sum(values) / length)
+
+
+# sha256 of repr of exact results with a 16-term function on free2 (seven
+# distinct frequencies, most of them repeated), recorded before the character
+# sums were reduced block by block and evaluated once per distinct frequency
+_EXACT_PINNED = {
+    "sphere_series": "0bf7a985a5d7e69830cc549c31a053930f3f138ff93f983e2ecd5866bf01b5dc",
+    "sphere_series_forward": (
+        "db0d1af73a33b621804de7b334f49e9f80d355c24d06a7e23ee9c6c54b21fc0f"
+    ),
+    "kappa_all_starts": "6a78faf3dc6d8f3f1ccce8147b971a3bdae839ee670705ef433ad8afe1175e04",
+    "markov_cesaro": "d36dafb3af03481c9da7e9675e5ae601d29b6670232fd691a0f897a0c3bad3b0",
+}
+
+
+def test_exact_averages_match_pinned_digests(free2_graph, free2_data, x2):
+    f = _pinned_function(2, 16)
+    assert len({k for k, _ in f.terms}) == 7
+    got = {}
+    for key, inverse in (("sphere_series", True), ("sphere_series_forward", False)):
+        rep = sphere_series(free2_graph, x2, f, 10, inverse=inverse)
+        got[key] = (rep.path_counts, rep.spherical, rep.cesaro)
+    res = kappa_average(free2_graph, x2, f, 8, data=free2_data)
+    got["kappa_all_starts"] = (res.value, res.predicted_limit)
+    res = markov_cesaro(build_markov(free2_graph, free2_data), x2, f, 10, 1, 2)
+    got["markov_cesaro"] = (res.value, res.predicted_limit)
+    digests = {key: hashlib.sha256(repr(v).encode()).hexdigest() for key, v in got.items()}
+    assert digests == _EXACT_PINNED
+
+
+def _uint64_tables(data, dim: int, block: int) -> list[np.ndarray]:
+    """Random (N, dim) uint64 tables, N on both sides of multiples of ``block``."""
+    sizes = st.integers(0, 3).flatmap(
+        lambda m: st.sampled_from(sorted({max(m * block + d, 0) for d in (-1, 0, 1)}))
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return [
+        rng.integers(0, MASK, size=(n, dim), dtype=np.uint64, endpoint=True)
+        for n in data.draw(st.lists(sizes, min_size=1, max_size=4))
+    ]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_character_sums_equal_the_unfused_block_sum(data):
+    block = data.draw(st.sampled_from([1, 3, 8, equidist._BLOCK]))
+    dim = data.draw(st.integers(1, 3))
+    tables = _uint64_tables(data, dim, block)
+    k = data.draw(st.tuples(*[st.integers(-(2**70), 2**70)] * dim))
+    with mock.patch.object(equidist, "_BLOCK", block):
+        got = character_sums(tables, k)
+        want = [equidist._block_sum(equidist._character_values(arr, k)) for arr in tables]
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_function_sums_with_repeated_frequencies_equal_the_per_term_loop(data):
+    dim = data.draw(st.integers(1, 3))
+    tables = _uint64_tables(data, dim, equidist._BLOCK)
+    freqs = data.draw(
+        st.lists(st.tuples(*[st.integers(-5, 5)] * dim), min_size=1, max_size=3)
+    )
+    coeffs = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(freqs), coeffs), min_size=1, max_size=8))
+    f = TestFunction(tuple(terms))
+    want = [0.0 + 0.0j] * len(tables)
+    for k, coeff in f.terms:
+        want = [t + coeff * s for t, s in zip(want, character_sums(tables, k))]
+    assert repr(equidist._function_sums(tables, f)) == repr(want)
