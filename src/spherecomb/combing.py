@@ -17,10 +17,11 @@ Cayley-graph product once; cone types read the search's neighbour table.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import spectral
 from .algebra import GeneratorSystem, GroupMatrix, Rows, _mul
@@ -76,12 +77,9 @@ class GraphStructure:
         return tuple(tuple(o) for o in out)
 
     @cached_property
-    def _count_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Dense integer edge-multiplicity rows, for exact path counting."""
-        rows = [[0] * self.n_vertices for _ in range(self.n_vertices)]
-        for e in self.edges:
-            rows[e.src][e.dst] += 1
-        return tuple(tuple(r) for r in rows)
+    def _count_rows(self) -> list[list[int]]:
+        """Edge-multiplicity rows as Python ints, for exact path counting."""
+        return spectral.transition_matrix(self).tolist()
 
     def path_word(self, path: Sequence[int]) -> tuple[str, ...]:
         """Concatenated label word of a path given as edge indices."""
@@ -288,19 +286,12 @@ def sphere_counts(graph: GraphStructure, n_max: int) -> tuple[int, ...]:
 
 
 def enumerate_paths(
-    graph: GraphStructure,
-    source: int,
-    length: int,
-    target: int | None = None,
-    *,
-    on_push: Callable[[int], None] | None = None,
-    on_pop: Callable[[int], None] | None = None,
+    graph: GraphStructure, source: int, length: int, target: int | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All length-n paths from source, as tuples of edge indices, in DFS edge order.
 
-    The optional hooks observe every DFS descent/backtrack (by edge index), so
-    a caller can maintain an incremental state, e.g. a torus point refined per
-    edge, with O(1) work per tree edge instead of O(n) per path.
+    Paths are generated lazily, one depth-first descent at a time, so memory
+    stays O(n) however many paths there are.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -321,13 +312,9 @@ def enumerate_paths(
         for ei in it:
             e = edges[ei]
             path.append(ei)
-            if on_push is not None:
-                on_push(ei)
             if len(path) == length:
                 if target is None or e.dst == target:
                     yield tuple(path)
-                if on_pop is not None:
-                    on_pop(ei)
                 path.pop()
             else:
                 iters.append(iter(out[e.dst]))
@@ -336,9 +323,7 @@ def enumerate_paths(
         if not advanced:
             iters.pop()
             if path:
-                ei = path.pop()
-                if on_pop is not None:
-                    on_pop(ei)
+                path.pop()
 
 
 def loop_paths(graph: GraphStructure, vertex: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -434,46 +419,42 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     element must have word length n (oracle: BFS on the Cayley graph), and no
     two paths may evaluate to the same element.  Together with equality of
     sphere counts this certifies the combing property up to the radius.
+
+    Paths are extended one level at a time, in path-lexicographic order (the
+    order of :func:`enumerate_paths`), each edge's product computed once; the
+    witness is the first failure in that order.
     """
     system = graph.system
-    dist, spheres = cayley_ball(system, radius)
-    bfs_counts = tuple(len(s) for s in spheres) + (0,) * (radius + 1 - len(spheres))
+    _, depth, index, _, _ = _ball(system, radius)
+    sizes = Counter(depth)
+    cols = {s: tuple(zip(*m.rows)) for s, m in zip(system.labels, system.matrices)}
     seen: dict[Rows, tuple[str, ...]] = {}
     injective = True
     length_preserving = True
     witness: str | None = None
-    auto_counts = [0] * (radius + 1)
-    auto_counts[0] = 1
-
-    cols = {s: tuple(zip(*m.rows)) for s, m in zip(system.labels, system.matrices)}
-    mat_stack = [GroupMatrix.identity(system.dim).rows]
-    word_stack: list[str] = []
-
-    def push(ei: int) -> None:
-        e = graph.edges[ei]
-        m = mat_stack[-1]
-        for s in e.word:
-            m = _mul(m, cols[s])
-        mat_stack.append(m)
-        word_stack.extend(e.word)
-
-    def pop(ei: int) -> None:
-        mat_stack.pop()
-        for _ in graph.edges[ei].word:
-            word_stack.pop()
+    # one (vertex, element, word) per path, in path-lexicographic order
+    level = [(graph.initial, GroupMatrix.identity(system.dim).rows, ())]
+    auto_counts = [1]
 
     for n in range(1, radius + 1):
-        for _ in enumerate_paths(graph, graph.initial, n, on_push=push, on_pop=pop):
-            auto_counts[n] += 1
-            g = mat_stack[-1]
-            word = tuple(word_stack)
+        grown = []
+        for v, g, word in level:
+            for ei in graph.out_edges[v]:
+                e = graph.edges[ei]
+                h = g
+                for s in e.word:
+                    h = _mul(h, cols[s])
+                grown.append((e.dst, h, word + e.word))
+        level = grown
+        auto_counts.append(len(level))
+        for _, g, word in level:
             if len(word) != n:
                 # composite labels: a "length-n" path may spell a longer word
                 length_preserving = False
                 if witness is None:
                     witness = f"path {''.join(word)} has {n} edges but spells {len(word)} letters"
                 continue
-            d = dist.get(g)
+            d = depth[index[g]] if g in index else None
             if d != n:
                 length_preserving = False
                 if witness is None:
@@ -490,7 +471,7 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
         injective=injective,
         length_preserving=length_preserving,
         automaton_counts=tuple(auto_counts),
-        bfs_counts=bfs_counts,
+        bfs_counts=tuple(sizes[n] for n in range(radius + 1)),
         witness=witness,
     )
 

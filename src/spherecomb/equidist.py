@@ -471,13 +471,18 @@ def _f_values(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     Equal bit for bit to :meth:`TestFunction.evaluate` on every row: the terms
     are added in order to a +0.0 start, and each c * e is written out in
     float64 as Python multiplies two complex numbers (numpy's complex128
-    multiply may round differently).
+    multiply may round differently).  A frequency that occurs in several
+    terms is evaluated once, and its values are kept only until its last term.
     """
     if f.dim is not None and f.dim != pts.shape[1]:
         raise DimensionMismatchError(f"frequency dim {f.dim} vs point dim {pts.shape[1]}")
     out = np.zeros(pts.shape[0], dtype=np.complex128)
-    for k, c in f.terms:
-        e = _character_values(pts, k)
+    last = {k: i for i, (k, _) in enumerate(f.terms)}
+    kept: dict[tuple[int, ...], np.ndarray] = {}
+    for i, (k, c) in enumerate(f.terms):
+        e = kept.pop(k) if k in kept else _character_values(pts, k)
+        if last[k] > i:
+            kept[k] = e
         out.real += c.real * e.real - c.imag * e.imag
         out.imag += c.real * e.imag + c.imag * e.real
     return out

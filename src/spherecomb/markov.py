@@ -5,6 +5,9 @@ large growth: an edge i -> j is taken with probability p_j / (lambda p_i),
 where p is the canonical right eigenvector.  Parallel edges split the i -> j
 mass equally.  The induced weight of a finite path w from i to j is
 q_i p_j / lambda^n, and pi_i = p_i q_i is the stationary distribution.
+Both samplers run one step loop (``_edge_blocks``) over blocks of uniform
+draws: ``sample_path`` keeps the edges, ``sample_vertex_walk`` only the
+vertices, and the same seed gives the same trajectory.
 
 Also here: the length-r prefix distribution harvested from A_inf, the
 prefix-then-uniform path measure it induces (an explicit approximation to
@@ -17,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .errors import NormalizationError, SmallGrowthVertexError, SpherecombError
 
 _ROW_SUM_TOL = 1e-12
 _TV_NORM_TOL = 1e-9
+_WALK_BLOCK = 1 << 12  # chain steps per block; keeps each block's list of draws small
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -45,13 +49,6 @@ class MarkovModel:
     q: tuple[float, ...]
     pi: tuple[float, ...]
     edge_prob: tuple[float, ...]
-
-    @cached_property
-    def _edge_dst(self) -> tuple[tuple[int, ...], ...]:
-        g = self.graph
-        return tuple(
-            tuple(g.edges[ei].dst for ei in g.out_edges[v]) for v in range(g.n_vertices)
-        )
 
     @cached_property
     def _cum_prob(self) -> tuple[tuple[float, ...], ...]:
@@ -147,52 +144,64 @@ def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = Non
     return model.q[i] * model.p[j] / model.lam ** len(path)
 
 
-def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> SampledPath:
-    """One chain trajectory; deterministic given the seed (or Generator) passed."""
-    rng = _as_rng(seed)
-    v = model.start_vertex(start, rng)
-    start_vertex = v
+def _edge_blocks(
+    model: MarkovModel, v: int, length: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The chain step: edges of a trajectory from v, in int32 blocks of _WALK_BLOCK.
+
+    Each block takes one ``rng.random`` call, so the uniforms are the stream
+    that a single ``rng.random(length)`` would give.
+    """
+    if length < 0:
+        raise ValueError("walk length must be nonnegative")
     cum = model._cum_prob
     out = model.graph.out_edges
+    dst = [e.dst for e in model.graph.edges]
+    for lo in range(0, length, _WALK_BLOCK):
+        taken: list[int] = []
+        for u in rng.random(min(_WALK_BLOCK, length - lo)).tolist():
+            row = cum[v]
+            k = bisect_right(row, u)
+            if k >= len(row):  # u == 1.0 rounding, or an empty row
+                if not row:
+                    raise SpherecombError(f"vertex {v} has no outgoing edge; chain is stuck")
+                k = len(row) - 1
+            ei = out[v][k]
+            taken.append(ei)
+            v = dst[ei]
+        yield np.array(taken, dtype=np.int32)
+
+
+def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> SampledPath:
+    """One chain trajectory; deterministic given the seed (or Generator) passed.
+
+    Its vertices are what sample_vertex_walk gives for the same seed.
+    """
+    rng = _as_rng(seed)
+    v = model.start_vertex(start, rng)
     taken: list[int] = []
-    us = rng.random(length)
-    for n in range(length):
-        row = cum[v]
-        if not row:
-            raise SpherecombError(f"vertex {v} has no outgoing edge; chain is stuck")
-        k = bisect_right(row, us[n])
-        if k >= len(row):  # guard against u == 1.0 rounding
-            k = len(row) - 1
-        ei = out[v][k]
-        taken.append(ei)
-        v = model.graph.edges[ei].dst
-    return SampledPath(model.graph, start_vertex, tuple(taken))
+    for block in _edge_blocks(model, v, length, rng):
+        taken += block.tolist()
+    return SampledPath(model.graph, v, tuple(taken))
 
 
 def sample_vertex_walk(
     model: MarkovModel, start: int | str, length: int, seed
 ) -> np.ndarray:
-    """Vertex sequence of a chain trajectory (length+1 entries), loop kept lean."""
+    """Vertex sequence (length+1 int32 entries) of the trajectory sample_path takes.
+
+    The walk is filled one block of edges at a time, gathering their end
+    vertices, so no edge array for the whole trajectory is built.
+    """
     rng = _as_rng(seed)
     v = model.start_vertex(start, rng)
     walk = np.empty(length + 1, dtype=np.int32)
     walk[0] = v
-    cum = model._cum_prob
-    dst = model._edge_dst
+    dst = np.array([e.dst for e in model.graph.edges], dtype=np.int32)
     pos = 1
-    block = 1 << 16
-    remaining = length
-    while remaining > 0:
-        us = rng.random(min(block, remaining))
-        for u in us:
-            row = cum[v]
-            k = bisect_right(row, u)
-            if k >= len(row):
-                k = len(row) - 1
-            v = dst[v][k]
-            walk[pos] = v
-            pos += 1
-        remaining -= len(us)
+    for block in _edge_blocks(model, v, length, rng):
+        walk[pos : pos + len(block)] = dst[block]
+        pos += len(block)
     return walk
 
 

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherecomb import (
@@ -149,6 +149,12 @@ def test_count_paths_agrees_with_enumeration(free2_graph):
                 assert got == want
 
 
+def test_path_counts_stay_exact_past_int64(free2_graph):
+    # 4 * 3**49 is far beyond int64: the counting rows must be Python ints
+    assert count_paths(free2_graph, free2_graph.initial, 50) == 4 * 3**49
+    assert sphere_counts(free2_graph, 60)[60] == 4 * 3**59
+
+
 def test_cone_type_construction_matches_symbolic(sanov, free2_graph, symbolic_graph):
     assert free2_graph.n_vertices == symbolic_graph.n_vertices
     assert sphere_counts(free2_graph, 8) == sphere_counts(symbolic_graph, 8)
@@ -238,6 +244,95 @@ def test_verify_geodesic_catches_undercounting(sanov, symbolic_graph):
     rep = verify_geodesic(pruned, 3)
     assert not rep.passed
     assert not rep.counts_match
+
+
+_LETTERS = ("a", "A", "b", "B")
+
+
+def _brute_force_geodesic_check(graph, radius):
+    """(injective, length_preserving, automaton_counts, bfs_counts), path by path.
+
+    A path that spells more letters than it has edges fails length
+    preservation and takes no part in the injectivity check.
+    """
+    dist, spheres = cayley_ball(graph.system, radius)
+    counts, seen = [], set()
+    injective = length_preserving = True
+    for n in range(radius + 1):
+        paths = list(enumerate_paths(graph, graph.initial, n))
+        counts.append(len(paths))
+        for path in paths if n else ():
+            if len(graph.path_word(path)) != n:
+                length_preserving = False
+                continue
+            g = graph.path_matrix(path).rows
+            length_preserving = length_preserving and dist.get(g) == n
+            injective = injective and g not in seen
+            seen.add(g)
+    bfs = [len(sp) for sp in spheres] + [0] * (radius + 1 - len(spheres))
+    return injective, length_preserving, tuple(counts), tuple(bfs)
+
+
+@st.composite
+def _sanov_automata(draw):
+    """1-5 vertices, up to 8 edges (parallel ones allowed) of one- or two-letter words."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    word = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=2).map(tuple)
+    edges = draw(st.lists(st.builds(Edge, vertex, vertex, word), max_size=8))
+    return GraphStructure(sanov_system(), n, draw(vertex), tuple(edges))
+
+
+@settings(max_examples=150)
+@given(_sanov_automata(), st.integers(0, 5))
+def test_verify_geodesic_matches_brute_force(graph, radius):
+    assume(sum(sphere_counts(graph, radius)) <= 3000)
+    rep = verify_geodesic(graph, radius)
+    got = (rep.injective, rep.length_preserving, rep.automaton_counts, rep.bfs_counts)
+    assert got == _brute_force_geodesic_check(graph, radius)
+    assert rep.radius == radius
+    assert (rep.witness is None) == (rep.injective and rep.length_preserving)
+
+
+def _seeded_automata(seed: int, count: int):
+    """A fixed list of (automaton, radius) over the Sanov system."""
+    rng = np.random.default_rng(seed)
+    system = sanov_system()
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        edges = tuple(
+            Edge(
+                int(rng.integers(n)),
+                int(rng.integers(n)),
+                tuple(rng.choice(_LETTERS, size=1 + int(rng.random() < 0.2)).tolist()),
+            )
+            for _ in range(int(rng.integers(0, 9)))
+        )
+        graph = GraphStructure(system, n, int(rng.integers(n)), edges)
+        out.append((graph, int(rng.integers(0, 6))))
+    return out
+
+
+# sha256 of the reports' reprs, witnesses included, of the presets at radius 5
+# and of 120 seeded random automata; recorded with the depth-first check
+_GEODESIC_REPORTS_PINNED = (
+    "f1cf585a90bd54a7671d966dbfd123a4523b4c6bda271eb18309f08ec1f8c195"
+)
+
+
+def test_verify_geodesic_reports_match_pinned_digest():
+    cases = [(preset(name).graph, 5) for name in preset_names()]
+    cases += _seeded_automata(11, 120)
+    reports = [verify_geodesic(graph, radius) for graph, radius in cases]
+    witnesses = [rep.witness or "" for rep in reports]
+    # every kind of failure, and passing reports, are among the pinned ones
+    assert any(w.startswith("path ") for w in witnesses)
+    assert any(w.startswith("word ") for w in witnesses)
+    assert any(w.startswith("words ") for w in witnesses)
+    assert sum(rep.passed for rep in reports) > len(preset_names())
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == _GEODESIC_REPORTS_PINNED
 
 
 def test_path_word_and_matrix_consistency(free2_graph):

@@ -580,6 +580,21 @@ def test_exact_averages_match_pinned_digests(free2_graph, free2_data, x2):
     assert digests == _EXACT_PINNED
 
 
+def test_f_values_evaluate_each_distinct_frequency_once(free2_graph, free2_data, x2):
+    f = _pinned_function(2, 16)
+    assert len({k for k, _ in f.terms}) == 7
+    with mock.patch.object(
+        equidist, "_character_values", wraps=equidist._character_values
+    ) as spy:
+        mc_spherical(free2_graph, free2_data, x2, f, 5, 300, 1)
+    assert spy.call_count == 7
+    # the values are still TestFunction.evaluate's, bit for bit
+    rng = np.random.default_rng(4)
+    pts = rng.integers(0, 2**64, size=(500, 2), dtype=np.uint64)
+    got = equidist._f_values(f, pts)
+    assert [complex(v) for v in got] == [f.evaluate(TorusPoint(tuple(p))) for p in pts]
+
+
 def _uint64_tables(data, dim: int, block: int) -> list[np.ndarray]:
     """Random (N, dim) uint64 tables, N on both sides of multiples of ``block``."""
     sizes = st.integers(0, 3).flatmap(

@@ -1,11 +1,14 @@
 """Markov chain weights, sampling, return times, prefix and tv machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from spherecomb import (
     Edge,
     GraphStructure,
+    MarkovModel,
     build_markov,
     counting_distribution,
     enumerate_paths,
@@ -21,7 +24,7 @@ from spherecomb import (
     transition_matrix,
     tv_distance,
 )
-from spherecomb.errors import NormalizationError, SmallGrowthVertexError
+from spherecomb.errors import NormalizationError, SmallGrowthVertexError, SpherecombError
 from conftest import sanov_system
 
 
@@ -266,3 +269,77 @@ def test_tv_distance_basics():
     assert tv_distance({"a": 1.0}, {"b": 1.0}) == pytest.approx(1.0)
     with pytest.raises(NormalizationError):
         tv_distance({"a": 0.7}, {"a": 1.0})
+
+
+_WALK_LENGTHS = (0, 1, 65535, 65536, 65537)
+
+# (preset, start) -> sha256 of the repr of sample_path's edges and of the bytes
+# of sample_vertex_walk, each fed the lengths above in order with seed 7;
+# recorded when the two samplers had separate step loops
+_WALK_PINNED = {
+    ("dinf_involutions", 1): (
+        "53bc228035faf8498ba8746c9df184d92169a0111e9ba1ad970371d7601f0a0f",
+        "205e3be0706acb50eece9d732e4c587417219b9eda11623d86023e8e4201643a",
+    ),
+    ("dinf_involutions", "initial"): (
+        "6bd51dc53a23a40290b6bdb8b89c109fc49496c1033e01204758ec645e853c18",
+        "e484ad916bec72707947ef8edeac3a201096beed8a108ce1b4c5af1117fbfca1",
+    ),
+    ("dinf_involutions", "stationary"): (
+        "42b203d20560bad21a66a1a2e0497d6cd5cac19a1bd782043f0a26fb4d32d97a",
+        "8f4cfe6903de6309db04750e19c1c869a1c6937236195e48ebdaebfde174d9a1",
+    ),
+    ("free2_sanov", 1): (
+        "2a345751469fee30255eb72113a368b74b399155e096d783f35284b4c010bf8c",
+        "68af37fb2b39e832018db25fa5fe6aef8a5d52475268bcbcaf3a5b2d72dff2bd",
+    ),
+    ("free2_sanov", "initial"): (
+        "4050b82d406d6b50e4838e576fcb6bfdcce4eb2e7ede44646e0888bfcf8f31a0",
+        "8f2042a4332d27046acc9a30a57b5b9185859469b2fa5ddb8a252390913f12c9",
+    ),
+    ("free2_sanov", "stationary"): (
+        "67a5f0aba34e956b0c8985d0c1a554c344301de3e77180bd98894dfc6d6c22bd",
+        "8ed6e5010e9105cee668a6c51d66d68c0e04064b16bfd3898177acec831e943b",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(_WALK_PINNED, key=repr), ids=lambda c: f"{c[0]}-{c[1]}"
+)
+def test_samplers_walk_the_same_chain(case):
+    name, start = case
+    model = build_markov(preset(name).graph)
+    if start == "initial":
+        start = model.graph.initial
+    path_hash, walk_hash = hashlib.sha256(), hashlib.sha256()
+    for length in _WALK_LENGTHS:
+        path = sample_path(model, start, length, seed=7)
+        walk = sample_vertex_walk(model, start, length, seed=7)
+        assert walk.dtype == np.int32 and walk.shape == (length + 1,)
+        assert np.array_equal(np.array(path.vertices, np.int32), walk)
+        path_hash.update(repr(path.edges).encode())
+        walk_hash.update(walk.tobytes())
+    assert (path_hash.hexdigest(), walk_hash.hexdigest()) == _WALK_PINNED[case]
+
+
+def test_samplers_continue_one_generator_stream(free2_model):
+    # a Generator passed in is advanced by exactly the draws of the walk
+    rng = np.random.default_rng(3)
+    first = sample_path(free2_model, 1, 70_000, rng)
+    second = sample_vertex_walk(free2_model, first.vertices[-1], 5, rng)
+    whole = sample_vertex_walk(free2_model, 1, 70_005, np.random.default_rng(3))
+    assert np.array_equal(whole[:70_001], np.array(first.vertices, np.int32))
+    assert np.array_equal(whole[70_000:], second)
+
+
+@pytest.mark.parametrize("start, length", [(0, 2), (0, 70_000), (1, 1)])
+def test_stuck_chain_raises_from_both_samplers(start, length):
+    # the single edge 0 -> 1 leaves vertex 1 without an outgoing edge
+    graph = GraphStructure(sanov_system(), 2, 0, (Edge(0, 1, ("a",)),))
+    model = MarkovModel(
+        graph=graph, lam=1.0, p=(1.0, 1.0), q=(0.0, 1.0), pi=(0.0, 1.0), edge_prob=(1.0,)
+    )
+    for sampler in (sample_path, sample_vertex_walk):
+        with pytest.raises(SpherecombError, match="vertex 1 has no outgoing edge"):
+            sampler(model, start, length, 0)
