@@ -9,9 +9,9 @@ oracle by :func:`verify_geodesic`).
 
 Two constructions are provided: the explicit no-backtracking automaton of a
 free generating set, and the cone-type automaton computed from the exact
-matrix representation by breadth-first search.  The search, the cone types
-and the geodesic check multiply raw row tuples (``GroupMatrix.rows``), each
-Cayley-graph product once; cone types read the search's neighbour table.
+matrix representation by breadth-first search.  Only the search multiplies
+raw row tuples (``GroupMatrix.rows``), each Cayley-graph product once; the
+cone types and the geodesic check read its neighbour table.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ class _Ball(NamedTuple):
 
     elements: list[Rows]  # breadth-first order
     depth: list[int]  # word length of each element
-    index: dict[Rows, int]  # element -> position in ``elements``
     nbrs: list[tuple[int, ...]]  # nbrs[i][j]: index of elements[i] times label j, below the radius
     bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
 
@@ -142,8 +141,9 @@ def _ball(system: GeneratorSystem, radius: int) -> _Ball:
         raise ValueError("radius must be nonnegative")
     cols = [tuple(zip(*m.rows)) for m in system.matrices]
     ident = GroupMatrix.identity(system.dim).rows
-    ball = _Ball([ident], [0], {ident: 0}, [], [0, 1])
-    elements, depth, index, nbrs, bounds = ball
+    ball = _Ball([ident], [0], [], [0, 1])
+    elements, depth, nbrs, bounds = ball
+    index = {ident: 0}
     for n in range(1, radius + 1):
         for g in elements[bounds[n - 1] : bounds[n]]:
             row = []
@@ -168,7 +168,7 @@ def cayley_ball(system: GeneratorSystem, radius: int) -> tuple[dict[Rows, int], 
     Elements are raw row tuples (``GroupMatrix.rows``), listed in breadth-first
     order, so each sphere is ordered by shortlex-least geodesic words.
     """
-    elements, depth, _, _, b = _ball(system, radius)
+    elements, depth, _, b = _ball(system, radius)
     return dict(zip(elements, depth)), [elements[b[n] : b[n + 1]] for n in range(len(b) - 1)]
 
 
@@ -197,7 +197,7 @@ def build_cone_type_combing(
         raise RadiusExhaustedError(
             f"radius {radius} leaves no room below lookahead {lookahead}"
         )
-    _, depth, _, nbrs, bounds = _ball(system, radius)
+    depth, nbrs, bounds = _ball(system, radius)[1:]  # drop the elements before the search
     depth_cap = radius - lookahead
     if bounds[-1] == bounds[-2]:
         raise RadiusExhaustedError(
@@ -421,19 +421,20 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     sphere counts this certifies the combing property up to the radius.
 
     Paths are extended one level at a time, in path-lexicographic order (the
-    order of :func:`enumerate_paths`), each edge's product computed once; the
-    witness is the first failure in that order.
+    order of :func:`enumerate_paths`), through the neighbour table of the
+    Cayley ball, so no product is recomputed; the witness is the first
+    failure in that order.  A path whose word runs past the table's rows
+    spells more letters than it has edges.
     """
-    system = graph.system
-    _, depth, index, _, _ = _ball(system, radius)
+    _, depth, nbrs, _ = _ball(graph.system, radius)
     sizes = Counter(depth)
-    cols = {s: tuple(zip(*m.rows)) for s, m in zip(system.labels, system.matrices)}
-    seen: dict[Rows, tuple[str, ...]] = {}
+    col = {s: j for j, s in enumerate(graph.system.labels)}
+    seen: dict[int, tuple[str, ...]] = {}
     injective = True
     length_preserving = True
     witness: str | None = None
-    # one (vertex, element, word) per path, in path-lexicographic order
-    level = [(graph.initial, GroupMatrix.identity(system.dim).rows, ())]
+    # one (vertex, element index or None, word) per path, in path-lexicographic order
+    level = [(graph.initial, 0, ())]
     auto_counts = [1]
 
     for n in range(1, radius + 1):
@@ -443,7 +444,7 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
                 e = graph.edges[ei]
                 h = g
                 for s in e.word:
-                    h = _mul(h, cols[s])
+                    h = nbrs[h][col[s]] if h is not None and h < len(nbrs) else None
                 grown.append((e.dst, h, word + e.word))
         level = grown
         auto_counts.append(len(level))
@@ -454,11 +455,10 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
                 if witness is None:
                     witness = f"path {''.join(word)} has {n} edges but spells {len(word)} letters"
                 continue
-            d = depth[index[g]] if g in index else None
-            if d != n:
+            if depth[g] != n:
                 length_preserving = False
                 if witness is None:
-                    witness = f"word {''.join(word)} has word length {d}, not {n}"
+                    witness = f"word {''.join(word)} has word length {depth[g]}, not {n}"
             if g in seen:
                 injective = False
                 if witness is None:
@@ -535,18 +535,12 @@ def load_automaton(path: str | Path) -> GraphStructure:
         matrices.append(m)
         inverses.append(g["inverse"])
     system = GeneratorSystem(tuple(labels), tuple(matrices), tuple(inverses))
-    n = int(obj["vertices"])
     edges = []
     for i, e in enumerate(obj["edges"]):
         if len(e) != 3:
             raise AutomatonFormatError(f"edge {i} must be [src, dst, label], got {e!r}")
-        src, dst, label = int(e[0]), int(e[1]), e[2]
-        if not (0 <= src < n and 0 <= dst < n):
-            raise AutomatonFormatError(
-                f"edge {i} joins {src}->{dst}, outside 0..{n - 1}"
-            )
-        edges.append(Edge(src, dst, (label,)))
+        edges.append(Edge(int(e[0]), int(e[1]), (e[2],)))
     try:
-        return GraphStructure(system, n, int(obj["initial"]), tuple(edges))
-    except SpherecombError as err:
+        return GraphStructure(system, int(obj["vertices"]), int(obj["initial"]), tuple(edges))
+    except (SpherecombError, ValueError) as err:
         raise AutomatonFormatError(f"invalid automaton file: {err}") from err

@@ -152,8 +152,6 @@ def _edge_blocks(
     Each block takes one ``rng.random`` call, so the uniforms are the stream
     that a single ``rng.random(length)`` would give.
     """
-    if length < 0:
-        raise ValueError("walk length must be nonnegative")
     cum = model._cum_prob
     out = model.graph.out_edges
     dst = [e.dst for e in model.graph.edges]
@@ -177,6 +175,8 @@ def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> Samp
 
     Its vertices are what sample_vertex_walk gives for the same seed.
     """
+    if length < 0:
+        raise ValueError("walk length must be nonnegative")
     rng = _as_rng(seed)
     v = model.start_vertex(start, rng)
     taken: list[int] = []
@@ -193,6 +193,8 @@ def sample_vertex_walk(
     The walk is filled one block of edges at a time, gathering their end
     vertices, so no edge array for the whole trajectory is built.
     """
+    if length < 0:
+        raise ValueError("walk length must be nonnegative")
     rng = _as_rng(seed)
     v = model.start_vertex(start, rng)
     walk = np.empty(length + 1, dtype=np.int32)
@@ -374,14 +376,18 @@ class LambdaPrime:
         return _backward_counts(self.graph, self.n)
 
     def prob(self, path: tuple[int, ...]) -> float:
+        """Mass of a path; 0.0 for a length other than n or a prefix of zero mass.
+
+        Raises ValueError when the suffix does not continue the prefix.
+        """
+        if len(path) != self.n:
+            return 0.0
         g0 = path[: self.r]
         pre = self.prefix.prob(g0)
         if pre == 0.0:
             return 0.0
         end = self.graph.edges[g0[-1]].dst if g0 else self.graph.initial
-        # verify the suffix really continues from the prefix end
-        verts = self.graph.path_vertices(end, path[self.r :])
-        del verts
+        self.graph.path_vertices(end, path[self.r :])  # the suffix must continue the prefix
         return pre / self._counts[self.n - self.r][end]
 
     def sample(self, seed) -> tuple[int, ...]:

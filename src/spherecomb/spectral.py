@@ -2,8 +2,10 @@
 
 The central object is the nonnegative integer transition matrix A of a graph
 structure (A_ij = number of edges i -> j).  This module classifies A
-(primitive / semisimple / almost semisimple), computes the leading eigenvalue
-with canonical left and right eigenvectors, the projector-like limit
+(primitive / semisimple / almost semisimple) from one depth-first search,
+which gives the strongly connected components and, from the depths in its
+search tree, their periods.  It computes the leading eigenvalue with
+canonical left and right eigenvectors, the projector-like limit
 A_inf = lim A^(p*n) / lambda^(p*n), and the growth constants of path counts.
 
 Vertices split into growth classes: a vertex has large growth when it reaches
@@ -65,87 +67,58 @@ def _check_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, nonrecursive Tarjan.
+def _tarjan_sccs(adj: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components, and each vertex's depth in its search tree.
 
-    Components are emitted in reverse topological order of the condensation:
-    every component appears before any component that can reach it.
+    Nonrecursive Tarjan, one iterator per ``adj[v]``: roots in vertex order,
+    neighbours in ``adj`` order.  Components are emitted in reverse topological
+    order of the condensation: every component appears before any component
+    that can reach it.  Each component is one subtree of the search forest.
     """
     n = len(adj)
-    preorder: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack = [False] * n
+    preorder = [-1] * n
+    lowlink = [0] * n
+    depth = [0] * n
+    stack_pos = [-1] * n  # position on the component stack, -1 when off it
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if root in preorder:
+        if preorder[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, it = work[-1]
+            if it is None:  # first visit
                 preorder[v] = lowlink[v] = counter
                 counter += 1
+                stack_pos[v] = len(stack)
                 stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if w not in preorder:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                it = iter(adj[v])
+                work[-1] = (v, it)
+            for w in it:
+                if preorder[w] < 0:
+                    depth[w] = depth[v] + 1
+                    work.append((w, None))
                     break
-                if on_stack[w]:
+                if stack_pos[w] >= 0:
                     lowlink[v] = min(lowlink[v], preorder[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == preorder[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                sccs.append(comp)
-    return sccs
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == preorder[v]:
+                    comp = stack[stack_pos[v] :]
+                    del stack[stack_pos[v] :]
+                    for w in comp:
+                        stack_pos[w] = -1
+                    sccs.append(sorted(comp))
+    return sccs, depth
 
 
-def _component_period(a: np.ndarray, comp: list[int]) -> int:
-    """gcd of cycle lengths inside one strongly connected component; 0 if acyclic."""
-    if len(comp) == 1:
-        v = comp[0]
-        return 1 if a[v, v] > 0 else 0
-    inside = set(comp)
-    dist = {comp[0]: 0}
-    frontier = [comp[0]]
-    while frontier:  # breadth-first distances; a distance never changes once set
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(a[u])[0]:
-                v = int(v)
-                if v in inside and v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in comp:
-        for v in np.nonzero(a[u])[0]:
-            v = int(v)
-            if v in inside:
-                g = gcd(g, dist[u] + 1 - dist[v])
-    return g
-
-
-def _component_radius(a: np.ndarray, comp: list[int]) -> float:
-    if len(comp) == 1 and a[comp[0], comp[0]] == 0:
+def _component_radius(a: np.ndarray, comp: list[int], period: int) -> float:
+    if period == 0:  # acyclic: a single vertex without a loop
         return 0.0
     sub = a[np.ix_(comp, comp)].astype(float)
     return float(np.max(np.abs(np.linalg.eigvals(sub))))
@@ -172,7 +145,10 @@ class Classification:
 def classify(a: np.ndarray) -> Classification:
     """Classify a square nonnegative integer matrix.
 
-    primitive  ==> semisimple ==> almost semisimple.  The leading eigenvalue
+    primitive  ==> semisimple ==> almost semisimple.  Components and periods
+    come from one depth-first search: a component is one subtree of the
+    search forest, so its period is the gcd of depth[u] + 1 - depth[v] over
+    its internal edges u -> v (0 if it has none).  The leading eigenvalue
     is the largest component spectral radius, and almost semisimplicity is
     decided structurally: no directed path joins two distinct maximal
     components.  :func:`perron_data` checks the eigendata this promises.
@@ -180,22 +156,25 @@ def classify(a: np.ndarray) -> Classification:
     a = _check_matrix(a)
     n = a.shape[0]
     adj = [[int(v) for v in np.nonzero(a[u])[0]] for u in range(n)]
-    sccs = _tarjan_sccs(adj)
+    sccs, depth = _tarjan_sccs(adj)
     comp_of = [0] * n
     for ci, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = ci
-    radii = [_component_radius(a, comp) for comp in sccs]
-    periods = [_component_period(a, comp) for comp in sccs]
-    lam = max(radii, default=0.0)
-    maximal = [r >= lam * (1.0 - MAXIMAL_RADIUS_RTOL) and lam > 0 for r in radii]
 
     k = len(sccs)
+    periods = [0] * k
     comp_succ: list[set[int]] = [set() for _ in range(k)]
     for u in range(n):
+        cu = comp_of[u]
         for v in adj[u]:
-            if comp_of[u] != comp_of[v]:
-                comp_succ[comp_of[u]].add(comp_of[v])
+            if comp_of[v] == cu:
+                periods[cu] = gcd(periods[cu], depth[u] + 1 - depth[v])
+            else:
+                comp_succ[cu].add(comp_of[v])
+    radii = [_component_radius(a, comp, h) for comp, h in zip(sccs, periods)]
+    lam = max(radii, default=0.0)
+    maximal = [r >= lam * (1.0 - MAXIMAL_RADIUS_RTOL) and lam > 0 for r in radii]
 
     # sccs is in reverse topological order: successors of a component precede it
     reaches_max = [False] * k

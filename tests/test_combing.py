@@ -37,6 +37,7 @@ from spherecomb.errors import (
     NotAlmostSemisimpleError,
     RadiusExhaustedError,
 )
+from spherecomb import combing
 from spherecomb.algebra import GeneratorSystem
 from spherecomb.combing import cayley_ball
 from conftest import reduced_words, sanov_system
@@ -210,6 +211,26 @@ def test_ball_build_and_check_make_no_group_matrix_products(monkeypatch, sanov):
     assert calls == []
     sanov.word_matrix(("a", "b"))  # the boundary still multiplies GroupMatrix
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("step, radius", [(1, 6), (2, 3)], ids=["unit", "composite"])
+def test_verify_geodesic_multiplies_only_in_the_ball(monkeypatch, step, radius):
+    # the check reads the ball's neighbour table; composite labels run past it
+    calls = []
+    mul = combing._mul
+
+    def counted(rows, cols):
+        calls.append(1)
+        return mul(rows, cols)
+
+    monkeypatch.setattr(combing, "_mul", counted)
+    system = free_system(2)
+    graph = p_step(build_free_group_combing(system), step)
+    combing._ball(system, radius)
+    in_ball = len(calls)
+    rep = verify_geodesic(graph, radius)
+    assert len(calls) == 2 * in_ball
+    assert rep.passed == (step == 1)
 
 
 def test_verify_geodesic_passes_on_presets():
@@ -445,6 +466,19 @@ def test_load_rejects_malformed_files(tmp_path, free2_graph):
     p3.write_text(json.dumps(broken))
     with pytest.raises(AutomatonFormatError):
         load_automaton(p3)
+
+    # GraphStructure's own checks surface as format errors too
+    for key, value, message in (
+        ("initial", 7, "initial vertex 7 out of range"),
+        ("vertices", 0, "graph needs at least one vertex"),
+    ):
+        broken = json.loads(path.read_text())
+        broken[key] = value
+        broken["edges"] = []
+        p4 = tmp_path / f"{key}.json"
+        p4.write_text(json.dumps(broken))
+        with pytest.raises(AutomatonFormatError, match=f"invalid automaton file: {message}"):
+            load_automaton(p4)
 
 
 def test_graph_structure_validation(sanov):

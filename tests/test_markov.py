@@ -343,3 +343,30 @@ def test_stuck_chain_raises_from_both_samplers(start, length):
     for sampler in (sample_path, sample_vertex_walk):
         with pytest.raises(SpherecombError, match="vertex 1 has no outgoing edge"):
             sampler(model, start, length, 0)
+
+
+@pytest.mark.parametrize("length", [-1, -2])
+@pytest.mark.parametrize("start", [1, "stationary"])
+def test_negative_walk_length_raises_before_any_draw(free2_model, start, length):
+    for sampler in (sample_path, sample_vertex_walk):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="walk length must be nonnegative"):
+            sampler(free2_model, start, length, rng)
+        assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", ["free2_sanov", "dinf_involutions"])
+def test_lambda_prime_has_no_mass_off_length_n(name):
+    graph = preset(name).graph
+    lp = lambda_prime(graph, perron_data(transition_matrix(graph)), 3)
+    for length in (1, 2, 4, 5):
+        for path in enumerate_paths(graph, graph.initial, length):
+            assert lp.prob(path) == 0.0, path
+    assert abs(sum(lp.as_dict().values()) - 1.0) <= 1e-12
+    # a length-3 path whose last edge leaves another vertex than the one reached
+    path = next(enumerate_paths(graph, graph.initial, 3))
+    end = graph.edges[path[1]].dst
+    stray = next(i for i, e in enumerate(graph.edges) if e.src != end)
+    with pytest.raises(ValueError, match="does not continue the path"):
+        lp.prob(path[:2] + (stray,))

@@ -1,6 +1,7 @@
 """Spectral radius, classification, limit matrix, eigendata."""
 
 import dataclasses
+import hashlib
 from functools import reduce
 from math import gcd
 
@@ -202,6 +203,81 @@ def test_classify_matches_closure_and_trace_oracles(a):
             if np.trace(power) > 0:
                 closed.append(m)
         assert period == reduce(gcd, closed, 0), comp
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_components_come_in_reverse_topological_order(a):
+    n = a.shape[0]
+    reach = a > 0
+    for w in range(n):
+        reach = reach | (reach[:, [w]] & reach[[w], :])
+    cls = classify(a)
+    assert sorted(v for comp in cls.components for v in comp) == list(range(n))
+    for ci, comp in enumerate(cls.components):
+        assert list(comp) == sorted(comp)
+        assert all(cls.comp_of[v] == ci for v in comp)
+        # no component reaches one listed after it
+        later = [v for d in cls.components[ci + 1 :] for v in d]
+        assert not reach[np.ix_(comp, later)].any()
+
+
+def _strongly_connected(rng, n, bipartite=False):
+    """Hamiltonian cycle in random order plus 2n random chords; with
+    ``bipartite`` the chords join the two alternate halves of the cycle."""
+    order = rng.permutation(n)
+    side = np.empty(n, dtype=np.int64)
+    side[order] = np.arange(n) % 2
+    a = np.zeros((n, n), dtype=np.int64)
+    a[order, np.roll(order, -1)] = rng.integers(1, 4, n)
+    for _ in range(2 * n):
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        if not bipartite or side[i] != side[j]:
+            a[i, j] = int(rng.integers(1, 4))
+    return a
+
+
+def _deep_chain(rng, n):
+    """i -> i + 1 for every i, forward chords, and backward chords of at most
+    20 steps that close components of varied size; the search runs n deep."""
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n - 1), np.arange(1, n)] = 1
+    for i in range(n):
+        u = rng.random()
+        if u < 0.1 and i + 2 < n:
+            a[i, int(rng.integers(i + 2, n))] = 1
+        elif u < 0.25 and i:
+            a[i, max(0, i - int(rng.integers(1, 21)))] = int(rng.integers(1, 3))
+    return a
+
+
+def _classify_family():
+    """2,000 random matrices with n <= 12 and densities from 0.1 to 0.9, random
+    strongly connected 100-, 200- (bipartite) and 300-vertex digraphs, and a
+    2,000-vertex chain with chords."""
+    rng = np.random.default_rng(20261018)
+    family = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        density = (0.1, 0.2, 0.35, 0.6, 0.9)[int(rng.integers(5))]
+        family.append(np.where(rng.random((n, n)) < density, rng.integers(1, 4, (n, n)), 0))
+    family += [_strongly_connected(rng, n, bipartite=n == 200) for n in (100, 200, 300)]
+    family.append(_deep_chain(rng, 2000))
+    return family
+
+
+# sha256 of repr(classify(a)) over _classify_family(), recorded when each
+# component's period came from a breadth-first search of its own
+_CLASSIFY_PINNED = "7ad0ad8045b9cf348674adfcd5a4ee913cd73ad5e911e24e3daac0e2cd7ce0d6"
+
+
+def test_classify_matches_pinned_digest():
+    family = _classify_family()
+    classes = [classify(a) for a in family]
+    deep = classes[-1]
+    assert max(len(comp) for comp in deep.components) > 1 and len(deep.components) > 100
+    assert classes[-3].p_star == 2  # the bipartite one
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == _CLASSIFY_PINNED
 
 
 def test_sub_maximal_component_feeding_the_maximal_one():
