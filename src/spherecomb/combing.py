@@ -509,24 +509,46 @@ def save_automaton(graph: GraphStructure, path: str | Path) -> None:
     Path(path).write_text(data)
 
 
+def _int_list(value) -> bool:
+    """Whether a JSON value is a list of integers (JSON true and false load as bools)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def load_automaton(path: str | Path) -> GraphStructure:
     """Read an automaton file, validating the format and all structure invariants."""
     try:
         obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise AutomatonFormatError(f"not valid JSON: {err}") from err
-    for key in ("dim", "generators", "vertices", "initial", "edges"):
+    if not isinstance(obj, dict):
+        raise AutomatonFormatError(f"an automaton file holds a JSON object, got {obj!r}")
+    for key, kind in (
+        ("dim", int), ("generators", list), ("vertices", int), ("initial", int), ("edges", list)
+    ):
         if key not in obj:
             raise AutomatonFormatError(f"missing required key {key!r}")
+        if type(obj[key]) is not kind:
+            raise AutomatonFormatError(f"{key!r} must be a JSON {kind.__name__}, got {obj[key]!r}")
     dim = obj["dim"]
     labels: list[str] = []
     matrices: list[GroupMatrix] = []
     inverses: list[str] = []
     for i, g in enumerate(obj["generators"]):
+        if not isinstance(g, dict):
+            raise AutomatonFormatError(f"generator {i} must be an object, got {g!r}")
         for key in ("label", "inverse", "matrix"):
             if key not in g:
                 raise AutomatonFormatError(f"generator {i} is missing {key!r}")
-        m = GroupMatrix(tuple(tuple(int(v) for v in row) for row in g["matrix"]))
+        if not (
+            isinstance(g["label"], str)
+            and isinstance(g["inverse"], str)
+            and isinstance(g["matrix"], list)
+            and all(_int_list(row) for row in g["matrix"])
+        ):
+            raise AutomatonFormatError(
+                f"generator {i} needs string labels and a list of integer rows, got {g!r}"
+            )
+        m = GroupMatrix(tuple(tuple(row) for row in g["matrix"]))
         if m.dim != dim:
             raise AutomatonFormatError(
                 f"generator {g['label']!r} has dimension {m.dim}, file says {dim}"
@@ -537,10 +559,13 @@ def load_automaton(path: str | Path) -> GraphStructure:
     system = GeneratorSystem(tuple(labels), tuple(matrices), tuple(inverses))
     edges = []
     for i, e in enumerate(obj["edges"]):
-        if len(e) != 3:
-            raise AutomatonFormatError(f"edge {i} must be [src, dst, label], got {e!r}")
-        edges.append(Edge(int(e[0]), int(e[1]), (e[2],)))
+        if not (isinstance(e, list) and len(e) == 3 and _int_list(e[:2]) and isinstance(e[2], str)):
+            raise AutomatonFormatError(
+                f"edge {i} must be [src, dst, label] with integer ends and a string label,"
+                f" got {e!r}"
+            )
+        edges.append(Edge(e[0], e[1], (e[2],)))
     try:
-        return GraphStructure(system, int(obj["vertices"]), int(obj["initial"]), tuple(edges))
+        return GraphStructure(system, obj["vertices"], obj["initial"], tuple(edges))
     except (SpherecombError, ValueError) as err:
         raise AutomatonFormatError(f"invalid automaton file: {err}") from err

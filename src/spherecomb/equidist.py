@@ -9,7 +9,9 @@ family of characters can be averaged from a single pass.  Rows, and so sums,
 are in path-lexicographic edge order.  Character sums are reduced block by
 block: each block of rows is evaluated and summed pairwise on its own, with
 compensated accumulation across blocks, and a frequency that several terms
-of a test function share is summed once.
+of a test function share is summed once.  The distinct frequencies are
+summed on a pool of threads sized from the CPUs the process may run on, and
+the terms are then combined in order, so no sum depends on the CPU count.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  They draw
@@ -23,6 +25,8 @@ points, bit for bit as :meth:`TestFunction.evaluate` does on each point.
 from __future__ import annotations
 
 import cmath
+import functools
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,14 +246,31 @@ def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
 def _function_sums(tables: list[np.ndarray], f: TestFunction) -> list[complex]:
     """Sum of f over each table: per-character sums combined by coefficients.
 
-    A frequency that occurs in several terms is summed once; the terms are
-    still added in order.
+    A frequency that occurs in several terms is summed once.  The distinct
+    frequencies are summed on a pool of threads, one per usable CPU but no
+    more than there are frequencies (numpy releases the GIL in a block's
+    phase arithmetic, ``exp`` and sum); with one worker no pool is made.  The
+    terms are then added in order, so the sums do not depend on the CPU
+    count, and an error is the one the first failing frequency raises.
     """
-    by_freq: dict[tuple[int, ...], list[complex]] = {}
+    freqs = list(dict.fromkeys(k for k, _ in f.terms))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(freqs))
+    sums_of = functools.partial(character_sums, tables)
+    if workers > 1:
+        # imported here: at module level it adds about 8 ms to every cold start
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            sums = list(pool.map(sums_of, freqs))
+    else:
+        sums = list(map(sums_of, freqs))
+    by_freq = dict(zip(freqs, sums))
     totals = [0.0 + 0.0j] * len(tables)
     for k, coeff in f.terms:
-        if k not in by_freq:
-            by_freq[k] = character_sums(tables, k)
         totals = [t + coeff * s for t, s in zip(totals, by_freq[k])]
     return totals
 

@@ -315,6 +315,28 @@ def test_analyze_sub_maximal_component_feeding_the_maximal_one(tmp_path, capsys)
     assert abs(res["lam"] - 2.11491) <= 1e-5
 
 
+def test_malformed_automaton_file_exits_2_without_traceback(tmp_path):
+    auto = tmp_path / "bad.json"
+    auto.write_text(json.dumps({
+        "dim": 1,
+        "generators": [{"label": "a", "inverse": "A", "matrix": [[1]]},
+                       {"label": "A", "inverse": "a", "matrix": [[1]]}],
+        "vertices": 1,
+        "initial": 0,
+        "edges": [5],
+    }))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherecomb", "analyze", "--preset", f"user:{auto}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "edge 0 must be [src, dst, label]" in proc.stderr
+
+
 def test_build_combing_requires_output(capsys):
     code, _, err = run_cli(capsys, "build-combing", "--preset", "free2_sanov")
     assert code == 2

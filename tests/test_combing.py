@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -479,6 +480,44 @@ def test_load_rejects_malformed_files(tmp_path, free2_graph):
         p4.write_text(json.dumps(broken))
         with pytest.raises(AutomatonFormatError, match=f"invalid automaton file: {message}"):
             load_automaton(p4)
+
+    # malformed entries are format errors, not TypeError or a bare ValueError
+    def set_edge(value):
+        return lambda d: d["edges"].__setitem__(0, value)
+
+    def set_generator(**fields):
+        return lambda d: d["generators"][0].update(fields)
+
+    for name, edit, message in (
+        ("edge-int", set_edge(5), "edge 0 must be"),
+        ("edge-short", set_edge([0, 1]), "edge 0 must be"),
+        ("edge-list-label", set_edge([0, 1, ["a"]]), "edge 0 must be"),
+        ("edge-str-end", set_edge(["x", 1, "a"]), "edge 0 must be"),
+        ("edge-float-end", set_edge([0, 1.0, "a"]), "edge 0 must be"),
+        ("edge-bool-end", set_edge([True, 1, "a"]), "edge 0 must be"),
+        ("generator-list", lambda d: d["generators"].__setitem__(0, ["a", "A", [[1]]]),
+         "generator 0 must be an object"),
+        ("label-int", set_generator(label=1), "generator 0 needs string labels"),
+        ("matrix-nested", set_generator(matrix=[[[1], 2], [0, 1]]), "generator 0 needs"),
+        ("matrix-str", set_generator(matrix=[[1, "2"], [0, 1]]), "generator 0 needs"),
+        ("matrix-row-int", set_generator(matrix=[1, 2]), "generator 0 needs"),
+        ("edges-int", lambda d: d.__setitem__("edges", 5), "'edges' must be a JSON list"),
+        ("generators-dict", lambda d: d.__setitem__("generators", {}),
+         "'generators' must be a JSON list"),
+        ("vertices-list", lambda d: d.__setitem__("vertices", [5]), "'vertices' must be a JSON int"),
+        ("initial-str", lambda d: d.__setitem__("initial", "0"), "'initial' must be a JSON int"),
+        ("dim-bool", lambda d: d.__setitem__("dim", True), "'dim' must be a JSON int"),
+    ):
+        broken = json.loads(path.read_text())
+        edit(broken)
+        p5 = tmp_path / f"{name}.json"
+        p5.write_text(json.dumps(broken))
+        with pytest.raises(AutomatonFormatError, match=re.escape(message)):
+            load_automaton(p5)
+    p6 = tmp_path / "not-an-object.json"
+    p6.write_text("5")
+    with pytest.raises(AutomatonFormatError, match="JSON object"):
+        load_automaton(p6)
 
 
 def test_graph_structure_validation(sanov):

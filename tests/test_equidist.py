@@ -2,7 +2,14 @@
 
 import cmath
 import hashlib
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -37,7 +44,7 @@ from spherecomb import (
 from spherecomb.algebra import MASK
 from spherecomb import equidist
 from spherecomb.errors import BudgetExceededError, DimensionMismatchError
-from conftest import reduced_words
+from conftest import dyadic_orbit_counts, reduced_words
 
 
 @pytest.fixture(scope="module")
@@ -620,18 +627,106 @@ def test_character_sums_equal_the_unfused_block_sum(data):
     assert repr(got) == repr(want)
 
 
+def _cpu_set(n: int):
+    """Make the process look as if it may run on n CPUs."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)), create=True)
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_function_sums_with_repeated_frequencies_equal_the_per_term_loop(data):
     dim = data.draw(st.integers(1, 3))
     tables = _uint64_tables(data, dim, equidist._BLOCK)
     freqs = data.draw(
-        st.lists(st.tuples(*[st.integers(-5, 5)] * dim), min_size=1, max_size=3)
+        st.lists(st.tuples(*[st.integers(-5, 5)] * dim), min_size=1, max_size=6)
     )
     coeffs = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-    terms = data.draw(st.lists(st.tuples(st.sampled_from(freqs), coeffs), min_size=1, max_size=8))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(freqs), coeffs), min_size=1, max_size=12))
     f = TestFunction(tuple(terms))
+    cpus = data.draw(st.sampled_from([1, 2, 3, 8]))
     want = [0.0 + 0.0j] * len(tables)
     for k, coeff in f.terms:
         want = [t + coeff * s for t, s in zip(want, character_sums(tables, k))]
-    assert repr(equidist._function_sums(tables, f)) == repr(want)
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    with _cpu_set(cpus), mock.patch("concurrent.futures.ThreadPoolExecutor", RecordingPool):
+        got = equidist._function_sums(tables, f)
+    workers = min(cpus, len({k for k, _ in f.terms}))
+    assert pools == ([workers] if workers > 1 else [])
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_function_sums_raise_the_serial_loops_first_error(free2_graph, x2, cpus):
+    tables = orbit_tables(free2_graph, x2, 6)
+    terms = (((1, 0), 1.0), ((0, 1), 2.0), ((1, 2, 3), 1.0), ((2, 1), 0.5), ((4,), 1.0))
+    with pytest.raises(DimensionMismatchError) as serial:
+        for k, _ in terms:
+            character_sums(tables, k)
+    # TestFunction itself rejects mixed dimensions; _function_sums reads only .terms
+    f = SimpleNamespace(terms=terms)
+    with _cpu_set(cpus), pytest.raises(DimensionMismatchError) as pooled:
+        equidist._function_sums(tables, f)
+    assert str(pooled.value) == str(serial.value) == (
+        "frequency has 3 entries, torus has dimension 2"
+    )
+
+
+def test_sphere_series_leaves_no_thread_behind(free2_graph, x2):
+    f = TestFunction(tuple(((k, 1), 1.0) for k in range(20)))
+    before = threading.active_count()
+    with _cpu_set(4):
+        sphere_series(free2_graph, x2, f, 6)
+    assert threading.active_count() == before
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, spherecomb, spherecomb.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_orbits_at_dyadic_points_match_the_transfer_operator(data):
+    graph = preset(data.draw(st.sampled_from(preset_names()))).graph
+    d = graph.system.dim
+    m = data.draw(st.integers(1, min(8, 16 // d)))
+    q = 1 << m
+    nums = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    n_max = data.draw(st.integers(1, 10))
+    inverse = data.draw(st.booleans())
+    freqs = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=1, max_size=4))
+    coeffs = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(freqs), coeffs), min_size=1, max_size=6))
+    f = TestFunction(tuple(terms))
+
+    x = TorusPoint.from_fractions([Fraction(a, q) for a in nums])
+    tables = orbit_tables(graph, x, n_max, inverse=inverse)
+    counts = dyadic_orbit_counts(graph, nums, m, n_max, inverse=inverse)
+    shift = np.uint64(64 - m)
+    for table, want in zip(tables, counts):
+        assert not (table - ((table >> shift) << shift)).any()
+        cells = np.ravel_multi_index(tuple((table >> shift).astype(np.intp).T), (q,) * d)
+        assert np.array_equal(np.bincount(cells, minlength=q**d), want)
+
+    grid = np.indices((q,) * d).reshape(d, -1).T
+    chi = {
+        k: np.exp(2j * np.pi * (grid @ np.array([v % q for v in k]) % q) / q) for k in freqs
+    }
+    with _cpu_set(3):
+        got = equidist._function_sums(tables, f)
+    scale = sum(abs(c) for _, c in f.terms)
+    for g, level in zip(got, counts):
+        want = sum((c * complex(level @ chi[k]) for k, c in f.terms), 0j)
+        assert abs(g - want) <= 1e-9 * scale * max(1, int(level.sum()))
