@@ -197,6 +197,8 @@ class GeneratorSystem:
     def __post_init__(self):
         if not (len(self.labels) == len(self.matrices) == len(self.inverse_labels)):
             raise DimensionMismatchError("labels, matrices, inverse_labels must have equal length")
+        if not self.labels:
+            raise ValueError("a generator system needs at least one generator")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in {self.labels}")
         index = {s: i for i, s in enumerate(self.labels)}

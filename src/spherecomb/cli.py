@@ -207,10 +207,8 @@ def _cmd_analyze(cfg: dict) -> int:
         label = "primitive"
     elif data.semisimple:
         label = "semisimple"
-    elif data.almost_semisimple:
+    else:  # perron_data has raised unless A is almost semisimple
         label = "almost_semisimple"
-    else:
-        label = "not_almost_semisimple"
     report = {
         "config": {**cfg, "command": "analyze"},
         "results": {

@@ -11,7 +11,13 @@ Two constructions are provided: the explicit no-backtracking automaton of a
 free generating set, and the cone-type automaton computed from the exact
 matrix representation by breadth-first search.  Only the search multiplies
 raw row tuples (``GroupMatrix.rows``), each Cayley-graph product once; the
-cone types and the geodesic check read its neighbour table.
+cone types and the geodesic check read its neighbour table.  The shipped
+presets are built by these two constructions, which give equal graphs for
+the Sanov generators.
+
+Path counts are exact Python integers, summed level by level over each
+vertex's out-edges, one term per edge, so parallel edges count with their
+multiplicity.
 """
 
 from __future__ import annotations
@@ -75,11 +81,6 @@ class GraphStructure:
         for i, e in enumerate(self.edges):
             out[e.src].append(i)
         return tuple(tuple(o) for o in out)
-
-    @cached_property
-    def _count_rows(self) -> list[list[int]]:
-        """Edge-multiplicity rows as Python ints, for exact path counting."""
-        return spectral.transition_matrix(self).tolist()
 
     def path_word(self, path: Sequence[int]) -> tuple[str, ...]:
         """Concatenated label word of a path given as edge indices."""
@@ -250,15 +251,15 @@ def _backward_counts(
     graph: GraphStructure, n_max: int, target: int | None = None
 ) -> list[list[int]]:
     """c[m][v] = exact number of length-m paths from v (ending at target, if given)."""
-    rows = graph._count_rows
     nv = graph.n_vertices
+    heads = [[graph.edges[i].dst for i in out] for out in graph.out_edges]
     if target is None:
         cur = [1] * nv
     else:
         cur = [1 if v == target else 0 for v in range(nv)]
     table = [cur]
     for _ in range(n_max):
-        cur = [sum(row[j] * cur[j] for j in range(nv) if row[j]) for row in rows]
+        cur = [sum(map(cur.__getitem__, h)) for h in heads]
         table.append(cur)
     return table
 
@@ -266,7 +267,7 @@ def _backward_counts(
 def count_paths(
     graph: GraphStructure, source: int | None, length: int, target: int | None = None
 ) -> int:
-    """Exact number of length-n paths, via integer matrix powers.
+    """Exact number of length-n paths, by one backward pass over the out-edges.
 
     ``source=None`` counts paths from every vertex (the Omega^n of the whole
     structure); ``target=None`` places no condition on the endpoint.
@@ -280,7 +281,7 @@ def count_paths(
 
 
 def sphere_counts(graph: GraphStructure, n_max: int) -> tuple[int, ...]:
-    """Path counts from the start vertex for n = 0..n_max (one matrix-vector pass)."""
+    """Path counts from the start vertex for n = 0..n_max (one backward pass)."""
     table = _backward_counts(graph, n_max)
     return tuple(table[n][graph.initial] for n in range(n_max + 1))
 
@@ -531,7 +532,7 @@ def load_automaton(path: str | Path) -> GraphStructure:
             raise AutomatonFormatError(f"{key!r} must be a JSON {kind.__name__}, got {obj[key]!r}")
     dim = obj["dim"]
     labels: list[str] = []
-    matrices: list[GroupMatrix] = []
+    rows: list[list[list[int]]] = []
     inverses: list[str] = []
     for i, g in enumerate(obj["generators"]):
         if not isinstance(g, dict):
@@ -548,15 +549,13 @@ def load_automaton(path: str | Path) -> GraphStructure:
             raise AutomatonFormatError(
                 f"generator {i} needs string labels and a list of integer rows, got {g!r}"
             )
-        m = GroupMatrix(tuple(tuple(row) for row in g["matrix"]))
-        if m.dim != dim:
+        if len(g["matrix"]) != dim:
             raise AutomatonFormatError(
-                f"generator {g['label']!r} has dimension {m.dim}, file says {dim}"
+                f"generator {g['label']!r} has dimension {len(g['matrix'])}, file says {dim}"
             )
         labels.append(g["label"])
-        matrices.append(m)
+        rows.append(g["matrix"])
         inverses.append(g["inverse"])
-    system = GeneratorSystem(tuple(labels), tuple(matrices), tuple(inverses))
     edges = []
     for i, e in enumerate(obj["edges"]):
         if not (isinstance(e, list) and len(e) == 3 and _int_list(e[:2]) and isinstance(e[2], str)):
@@ -565,7 +564,10 @@ def load_automaton(path: str | Path) -> GraphStructure:
                 f" got {e!r}"
             )
         edges.append(Edge(e[0], e[1], (e[2],)))
+    # the matrices, the generator system and the graph check their own invariants
     try:
+        matrices = tuple(GroupMatrix(m) for m in rows)
+        system = GeneratorSystem(tuple(labels), matrices, tuple(inverses))
         return GraphStructure(system, obj["vertices"], obj["initial"], tuple(edges))
     except (SpherecombError, ValueError) as err:
         raise AutomatonFormatError(f"invalid automaton file: {err}") from err

@@ -119,14 +119,16 @@ def _block_sum(vals: np.ndarray) -> complex:
 
 
 def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
-    """Per edge, the (d, d) matrix applied to the running state, as uint64 (mod 2**64)."""
+    """Per edge, the (d, d) matrix applied to the running state, as uint64 (mod 2**64).
+
+    The inverse of an edge word s_1 ... s_k is the word of inverse labels
+    s_k^-1 ... s_1^-1, which the generator system pairs, so no matrix is inverted.
+    """
     system = graph.system
     acts = []
     for e in graph.edges:
-        if inverse:
-            m = system.word_matrix(e.word).inverse()
-        else:
-            m = system.word_matrix(e.word)
+        word = [system.inverse_of(s) for s in reversed(e.word)] if inverse else e.word
+        m = system.word_matrix(word)
         acts.append(tuple(tuple(v & MASK for v in row) for row in m.rows))
     return np.array(acts, dtype=np.uint64).reshape(-1, system.dim, system.dim)
 

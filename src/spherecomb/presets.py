@@ -4,6 +4,14 @@ Each preset bundles a matrix generator system, a combing of its group, and a
 default irrational basepoint on the torus.  Two of them average to Haar
 measure (the free group on the Sanov generators, combed two ways); two are
 controls where equidistribution fails and the averages stay visibly large.
+
+Every automaton is computed from its generators.  ``free2_sanov``,
+``z_parabolic`` and ``dinf_involutions`` are the cone-type automata that
+:func:`~spherecomb.combing.build_cone_type_combing` computes from their
+matrices at radius ``CONE_RADIUS`` and lookahead ``CONE_LOOKAHEAD``;
+``free2_symbolic`` is the no-backtracking automaton of
+:func:`~spherecomb.combing.build_free_group_combing`.  The two free-group
+constructions give equal graphs, edge for edge.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from functools import lru_cache
 
 from .algebra import GeneratorSystem, TorusPoint, sqrt_fix64
 from .combing import (
-    Edge,
     GraphStructure,
     build_cone_type_combing,
     build_free_group_combing,
@@ -21,8 +28,9 @@ from .combing import (
 )
 from .errors import SpherecombError
 
-SANOV_RADIUS = 8
-SANOV_LOOKAHEAD = 2
+# radius and lookahead of every cone-type preset
+CONE_RADIUS = 8
+CONE_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ def _sanov_system() -> GeneratorSystem:
 
 def _free2_sanov() -> Preset:
     system = _sanov_system()
-    graph = build_cone_type_combing(system, SANOV_RADIUS, SANOV_LOOKAHEAD)
+    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
     return Preset(
         name="free2_sanov",
         description=(
@@ -91,17 +99,7 @@ def _free2_symbolic() -> Preset:
 
 def _z_parabolic() -> Preset:
     system = GeneratorSystem.from_pairs([("t", "T", ((1, 1), (0, 1)))])
-    graph = GraphStructure(
-        system=system,
-        n_vertices=3,
-        initial=0,
-        edges=(
-            Edge(0, 1, ("t",)),
-            Edge(0, 2, ("T",)),
-            Edge(1, 1, ("t",)),
-            Edge(2, 2, ("T",)),
-        ),
-    )
+    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
     # basepoint with zero second coordinate: fixed by the whole group, so
     # spherical averages of chi_(1,0) stay at modulus one
     return Preset(
@@ -124,17 +122,7 @@ def _dinf_involutions() -> Preset:
             ("b", "b", ((-1, 1, 0), (0, 1, 0), (0, 0, -1))),
         ]
     )
-    graph = GraphStructure(
-        system=system,
-        n_vertices=3,
-        initial=0,
-        edges=(
-            Edge(0, 1, ("a",)),
-            Edge(0, 2, ("b",)),
-            Edge(1, 2, ("b",)),
-            Edge(2, 1, ("a",)),
-        ),
-    )
+    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
     return Preset(
         name="dinf_involutions",
         description=(

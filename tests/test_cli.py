@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -294,25 +296,107 @@ def test_build_combing_and_user_preset(tmp_path, capsys):
     assert [int(r["path_count"]) for r in rows] == [1, 4, 12, 36, 108]
 
 
+def _write_unit_automaton(path, n_vertices, pairs):
+    """A dimension-1 user automaton with edges labeled "a": only its graph matters."""
+    path.write_text(json.dumps({
+        "dim": 1,
+        "generators": [{"label": "a", "inverse": "A", "matrix": [[1]]},
+                       {"label": "A", "inverse": "a", "matrix": [[1]]}],
+        "vertices": n_vertices,
+        "initial": 0,
+        "edges": [[u, v, "a"] for u, v in pairs],
+    }))
+    return f"user:{path}"
+
+
 def test_analyze_sub_maximal_component_feeding_the_maximal_one(tmp_path, capsys):
     # transition matrix [[2,1,0,0,0],[0,0,0,1,0],[0,0,1,0,0],[0,2,2,0,1],[0,1,2,2,0]],
     # with parallel edges for the 2s: almost semisimple, lambda = 2.11491
     rows = [[2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 2, 2, 0, 1], [0, 1, 2, 2, 0]]
-    auto = tmp_path / "feeds_maximal.json"
-    auto.write_text(json.dumps({
-        "dim": 1,
-        "generators": [{"label": "a", "inverse": "A", "matrix": [[1]]},
-                       {"label": "A", "inverse": "a", "matrix": [[1]]}],
-        "vertices": 5,
-        "initial": 0,
-        "edges": [[u, v, "a"] for u, row in enumerate(rows) for v, m in enumerate(row)
-                  for _ in range(m)],
-    }))
-    code, out, err = run_cli(capsys, "analyze", "--preset", f"user:{auto}")
+    pairs = [(u, v) for u, row in enumerate(rows) for v, m in enumerate(row) for _ in range(m)]
+    name = _write_unit_automaton(tmp_path / "feeds_maximal.json", 5, pairs)
+    code, out, err = run_cli(capsys, "analyze", "--preset", name)
     assert code == 0, err
     res = json.loads(out)["results"]
     assert res["class"] == "semisimple"
     assert abs(res["lam"] - 2.11491) <= 1e-5
+
+
+def test_analyze_joined_maximal_components_exits_2(tmp_path, capsys):
+    # two radius-2 components, 0 and 1, joined by the edge 0 -> 1
+    pairs = [(0, 0), (0, 0), (0, 1), (1, 1), (1, 1)]
+    name = _write_unit_automaton(tmp_path / "joined.json", 2, pairs)
+    code, out, err = run_cli(capsys, "analyze", "--preset", name)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a directed path joins two maximal components; A^n/lambda^n diverges\n"
+
+
+def test_analyze_primitive_user_automaton(tmp_path, capsys):
+    # one strongly connected component with cycles of lengths 1 and 2
+    name = _write_unit_automaton(tmp_path / "primitive.json", 2, [(0, 0), (0, 1), (1, 0)])
+    code, out, err = run_cli(capsys, "analyze", "--preset", name)
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["class"] == "primitive"
+    assert res["primitive"] and res["semisimple"] and res["almost_semisimple"]
+    assert abs(res["lam"] - (1 + 5**0.5) / 2) <= 1e-12
+
+
+def test_config_basepoint_list_matches_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basepoint": ["1/4", "0"]}))
+    reports = [
+        run_cli(capsys, "equidist", "--preset", "z_parabolic", "--n-max", "2", *extra)
+        for extra in (["--config", str(cfg)], ["--basepoint", "1/4,0"])
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equidist", "--basepoint", "1/0,0"],
+         "error: bad basepoint coordinate: Fraction(1, 0)\n"),
+        (["equidist", "--k", "1,0,0"],
+         "error: function frequencies have 3 entries, torus needs 2\n"),
+        (["equidist", "--config", [1]], "error: config file {cfg} must hold a JSON object\n"),
+    ],
+    ids=["zero-denominator", "frequency-too-long", "config-list"],
+)
+def test_bad_input_messages(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(argv[-1], list):
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message.format(cfg=cfg)
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``spherecomb ...`` line of README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["spherecomb"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(OPTIONS)  # every subcommand is shown
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: spherecomb {shlex.join(argv)}")
 
 
 def test_malformed_automaton_file_exits_2_without_traceback(tmp_path):

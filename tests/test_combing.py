@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spherecomb import (
@@ -151,6 +151,62 @@ def test_count_paths_agrees_with_enumeration(free2_graph):
                 assert got == want
 
 
+def test_count_paths_from_every_vertex(free2_graph):
+    g = free2_graph
+    for n in (0, 1, 4):
+        for t in (None, *range(g.n_vertices)):
+            want = sum(
+                1 for v in range(g.n_vertices) for _ in enumerate_paths(g, v, n, target=t)
+            )
+            assert count_paths(g, None, n, target=t) == want
+
+
+def _dense_backward_counts(n_vertices, pairs, n_max, target):
+    """Oracle for combing._backward_counts: powers of the dense multiplicity
+    matrix applied to the end-vertex indicator, all in Python ints."""
+    a = [[0] * n_vertices for _ in range(n_vertices)]
+    for u, v in pairs:
+        a[u][v] += 1
+    cur = [1 if target is None or v == target else 0 for v in range(n_vertices)]
+    table = [cur]
+    for _ in range(n_max):
+        cur = [sum(a[i][j] * cur[j] for j in range(n_vertices)) for i in range(n_vertices)]
+        table.append(cur)
+    return table
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    target = draw(st.none() | vertex)
+    return n, pairs, target, draw(st.integers(0, 12))
+
+
+def _check_backward_counts(n, pairs, target, n_max):
+    graph = GraphStructure(sanov_system(), n, 0, tuple(Edge(u, v, ("a",)) for u, v in pairs))
+    table = combing._backward_counts(graph, n_max, target)
+    assert table == _dense_backward_counts(n, pairs, n_max, target)
+    assert all(type(c) is int for row in table for c in row)
+    assert count_paths(graph, None, n_max, target) == sum(table[n_max])
+    return table
+
+
+@settings(max_examples=150)
+@example((2, [(0, 1), (0, 1), (1, 1), (1, 0), (1, 1)], 1, 30))
+@given(multigraphs())
+def test_backward_counts_match_the_dense_oracle(case):
+    _check_backward_counts(*case)
+
+
+def test_backward_counts_past_int64():
+    # three parallel loops and a loop-free edge into them: 3**45 paths
+    table = _check_backward_counts(2, [(1, 1), (0, 1), (1, 1), (1, 1)], None, 45)
+    assert table[45] == [3**44, 3**45]
+    assert 3**45 > 2**63
+
+
 def test_path_counts_stay_exact_past_int64(free2_graph):
     # 4 * 3**49 is far beyond int64: the counting rows must be Python ints
     assert count_paths(free2_graph, free2_graph.initial, 50) == 4 * 3**49
@@ -160,6 +216,12 @@ def test_path_counts_stay_exact_past_int64(free2_graph):
 def test_cone_type_construction_matches_symbolic(sanov, free2_graph, symbolic_graph):
     assert free2_graph.n_vertices == symbolic_graph.n_vertices
     assert sphere_counts(free2_graph, 8) == sphere_counts(symbolic_graph, 8)
+
+
+def test_free_group_combing_equals_the_cone_type_combing(sanov):
+    # the cone-type build names states in order of first appearance, which
+    # for the Sanov generators is the free-group automaton's own numbering
+    assert build_free_group_combing(sanov) == build_cone_type_combing(sanov, 8, 2)
 
 
 def test_cone_type_radius_too_small_for_lookahead(sanov):
@@ -507,6 +569,15 @@ def test_load_rejects_malformed_files(tmp_path, free2_graph):
         ("vertices-list", lambda d: d.__setitem__("vertices", [5]), "'vertices' must be a JSON int"),
         ("initial-str", lambda d: d.__setitem__("initial", "0"), "'initial' must be a JSON int"),
         ("dim-bool", lambda d: d.__setitem__("dim", True), "'dim' must be a JSON int"),
+        # generators that are well-typed but invalid, checked by the matrix and the system
+        ("matrix-ragged", set_generator(matrix=[[1, 1], [0]]),
+         "invalid automaton file: matrix is not square: 2 rows, row of length 1"),
+        ("matrix-det-2", set_generator(matrix=[[2, 0], [0, 1]]),
+         "invalid automaton file: generator 'a' has determinant 2, need 1"),
+        ("matrix-not-inverse", set_generator(matrix=[[1, 3], [0, 1]]),
+         "invalid automaton file: matrix of 'A' is not the inverse of matrix of 'a'"),
+        ("generators-empty", lambda d: d.update(generators=[], edges=[]),
+         "invalid automaton file: a generator system needs at least one generator"),
     ):
         broken = json.loads(path.read_text())
         edit(broken)

@@ -23,12 +23,14 @@ from spherecomb import (
     build_markov,
     cesaro_average,
     character_sums,
+    count_paths,
     enumerate_paths,
     kappa_average,
     lambda_prime,
     markov_cesaro,
     mc_spherical,
     orbit_tables,
+    p_step,
     perron_data,
     preset,
     preset_names,
@@ -160,6 +162,46 @@ def test_budget_exceeded(free2_graph, x2):
         spherical_average(free2_graph, x2, f, 14, budget=1000)
     assert "Monte Carlo" in str(exc.value)
     assert exc.value.required > 1000
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+def test_edge_actions_equal_the_word_matrices_or_their_inverses(inverse):
+    graphs = [preset(name).graph for name in preset_names()]
+    graphs += [p_step(graphs[0], 2), p_step(preset("dinf_involutions").graph, 2)]
+    assert all(len(e.word) == 2 for e in graphs[-1].edges)
+    for graph in graphs:
+        system = graph.system
+        want = []
+        for e in graph.edges:
+            m = system.word_matrix(e.word)
+            m = m.inverse() if inverse else m
+            want.append([[v & MASK for v in row] for row in m.rows])
+        got = equidist._edge_actions(graph, inverse)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(want, dtype=np.uint64))
+
+
+def test_kappa_budget_counts_the_nodes_of_every_start(free2_graph, free2_data, x2):
+    f = TestFunction.character((1, 0))
+    n = 4
+    nodes = [
+        sum(count_paths(free2_graph, v, m) for m in range(n + 1))
+        for v in range(free2_graph.n_vertices)
+    ]
+    budget = max(nodes)
+    for v in range(free2_graph.n_vertices):  # each start alone fits the budget
+        kappa_average(free2_graph, x2, f, n, data=free2_data, start=v, budget=budget)
+    with pytest.raises(BudgetExceededError) as exc:
+        kappa_average(free2_graph, x2, f, n, data=free2_data, budget=budget)
+    assert exc.value.required == sum(nodes) > budget
+
+
+def test_kappa_predicted_limit_is_nan_off_period_one():
+    ps = preset("dinf_involutions")
+    assert perron_data(transition_matrix(ps.graph)).p_star == 2
+    res = kappa_average(ps.graph, ps.basepoint, TestFunction.character((1, 0, 0)), 6)
+    assert cmath.isnan(res.predicted_limit.real) and cmath.isnan(res.predicted_limit.imag)
+    assert cmath.isfinite(res.value)
 
 
 def test_character_sums_match_direct_evaluation(free2_graph, x2):

@@ -1,5 +1,7 @@
 """Preset roster: structure, basepoints, flags, user-supplied automata."""
 
+import hashlib
+
 import pytest
 
 from spherecomb import (
@@ -34,6 +36,23 @@ def test_all_presets_are_geodesic_combings():
         rep = verify_geodesic(ps.graph, 5)
         assert rep.passed, (name, rep.witness)
         assert ps.basepoint.dim == ps.system.dim
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("free2_sanov", "6aee7d1026dbfff3287472101ea7a6abb77be316d318cbddf5853aa97c062e28"),
+        ("free2_symbolic", "6aee7d1026dbfff3287472101ea7a6abb77be316d318cbddf5853aa97c062e28"),
+        ("z_parabolic", "e88b9f950ed9ef8f1b04f6ccf44677ef252c00b5f4a8f3539d8a4b713fd293aa"),
+        ("dinf_involutions", "f987892503b6786072d257c1ebafe9039ba09fe0217b3e32c491b2150cb529bd"),
+    ],
+)
+def test_preset_edges_match_pinned_digests(name, digest):
+    # sha256 of repr(graph.edges), recorded when z_parabolic and
+    # dinf_involutions still listed their edges by hand
+    graph = preset(name).graph
+    assert (graph.n_vertices, graph.initial) == ((5, 0) if name.startswith("free2") else (3, 0))
+    assert hashlib.sha256(repr(graph.edges).encode()).hexdigest() == digest
 
 
 def test_free2_presets_agree():

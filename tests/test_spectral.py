@@ -323,6 +323,48 @@ def test_perturbed_eigenvectors_fail_the_residual_check(monkeypatch):
         perron_data(a)
 
 
+@pytest.mark.parametrize("name", ["free2_sanov", "dinf_involutions"])
+def test_rayleigh_repolish_recovers_the_eigendata(monkeypatch, name):
+    # classify's lambda off by 4e-13 relative: the Rayleigh quotient of the
+    # first eigenvectors moves by more than 1e-13 lambda, so perron_data
+    # recomputes A_inf and the eigenvectors at the polished lambda
+    a = transition_matrix(preset(name).graph)
+    ref = perron_data(a)
+    classify_exact, a_infinity_exact = spectral.classify, spectral.a_infinity
+    lams = []
+
+    def off_lambda(a):
+        cls = classify_exact(a)
+        return dataclasses.replace(cls, lam=cls.lam * (1 + 4e-13))
+
+    def recording_a_infinity(a, p_star, lam):
+        lams.append(lam)
+        return a_infinity_exact(a, p_star, lam)
+
+    monkeypatch.setattr(spectral, "classify", off_lambda)
+    monkeypatch.setattr(spectral, "a_infinity", recording_a_infinity)
+    data = perron_data(a)
+    assert len(lams) == 2 and lams[0] != lams[1]
+    a_f = a.astype(float)
+    for residual, v in ((a_f @ data.p - data.lam * data.p, data.p),
+                        (data.q @ a_f - data.lam * data.q, data.q)):
+        assert np.max(np.abs(residual)) <= spectral._RESIDUAL_RTOL * data.lam * np.max(np.abs(v))
+    assert abs(data.lam - ref.lam) <= 1e-12 * ref.lam
+    for got, want in ((data.p, ref.p), (data.q, ref.q), (data.pi, ref.pi), (data.a_inf, ref.a_inf)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_integral_float_matrices_are_taken_and_fractions_rejected():
+    a = np.array([[2.0, 1.0], [0.0, 1.0]])
+    checked = spectral._check_matrix(a)
+    assert checked.dtype == np.int64
+    assert np.array_equal(checked, [[2, 1], [0, 1]])
+    assert classify(a) == classify(checked)
+    for bad in (np.array([[0.5]]), np.array([[1.0, 0.5], [1.0, 1.0]])):
+        with pytest.raises(ValueError, match="transition matrix entries must be integers"):
+            perron_data(bad)
+
+
 def test_perron_data_errors():
     with pytest.raises(NilpotentMatrixError):
         perron_data(np.array([[0, 1], [0, 0]]))
