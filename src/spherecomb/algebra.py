@@ -7,9 +7,9 @@ a reduction mod 2**64; no floating point enters until a caller converts a
 coordinate or a character phase to a float.
 
 :class:`GroupMatrix` is the validated type at the API boundary: generator
-systems, automaton files and :meth:`GeneratorSystem.word_matrix`.  Hot loops
-(the Cayley ball, cone types, the geodesic check) multiply raw row tuples
-with :func:`_mul` instead and never build a ``GroupMatrix`` per product.
+systems, automaton files and :meth:`GeneratorSystem.word_matrix`.  The hot
+loop, the Cayley ball, multiplies whole spheres as object-dtype numpy arrays
+of Python ints instead and never builds a ``GroupMatrix`` per product.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ oracle by :func:`verify_geodesic`).
 
 Two constructions are provided: the explicit no-backtracking automaton of a
 free generating set, and the cone-type automaton computed from the exact
-matrix representation by breadth-first search.  Only the search multiplies
-raw row tuples (``GroupMatrix.rows``), each Cayley-graph product once; the
-cone types and the geodesic check read its neighbour table.  The shipped
-presets are built by these two constructions, which give equal graphs for
-the Sanov generators.
+matrix representation by breadth-first search.  Only the search multiplies:
+each sphere by all generators in one exact object-dtype ``np.matmul``, so
+each Cayley-graph product is made once; the cone types and the geodesic
+check read its neighbour table.  The shipped presets are built by these
+two constructions, which give equal graphs for the Sanov generators.
 
 Path counts are exact Python integers, summed level by level over each
 vertex's out-edges, one term per edge, so parallel edges count with their
@@ -26,11 +26,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from . import spectral
-from .algebra import GeneratorSystem, GroupMatrix, Rows, _mul
+from .algebra import GeneratorSystem, GroupMatrix, Rows
 from .errors import (
     AutomatonFormatError,
     InconsistentAutomatonError,
@@ -128,35 +131,37 @@ def build_free_group_combing(system: GeneratorSystem) -> GraphStructure:
 
 
 class _Ball(NamedTuple):
-    """Cayley ball as raw row tuples, with a neighbour table for the inner elements."""
+    """Cayley ball as flat row-major tuples, with a neighbour table for the inner elements."""
 
-    elements: list[Rows]  # breadth-first order
+    elements: list[tuple[int, ...]]  # breadth-first order, d*d Python ints each
     depth: list[int]  # word length of each element
     nbrs: list[tuple[int, ...]]  # nbrs[i][j]: index of elements[i] times label j, below the radius
     bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
 
 
 def _ball(system: GeneratorSystem, radius: int) -> _Ball:
-    """Breadth-first search in label order, one product per edge; stops at an empty sphere."""
+    """Breadth-first search in label order; stops at an empty sphere.
+
+    Each sphere times every generator is one object-dtype ``np.matmul`` of
+    exact Python ints; the products are matched to the known elements, and
+    new ones numbered in first-occurrence order, by C-level passes over keys.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    cols = [tuple(zip(*m.rows)) for m in system.matrices]
-    ident = GroupMatrix.identity(system.dim).rows
+    d, n_gens = system.dim, len(system.matrices)
+    gens = np.array([m.rows for m in system.matrices], dtype=object)
+    ident = sum(GroupMatrix.identity(d).rows, ())
     ball = _Ball([ident], [0], [], [0, 1])
     elements, depth, nbrs, bounds = ball
     index = {ident: 0}
     for n in range(1, radius + 1):
-        for g in elements[bounds[n - 1] : bounds[n]]:
-            row = []
-            for c in cols:
-                h = _mul(g, c)
-                i = index.get(h)
-                if i is None:
-                    i = index[h] = len(elements)
-                    elements.append(h)
-                    depth.append(n)
-                row.append(i)
-            nbrs.append(tuple(row))
+        sphere = np.array(elements[bounds[n - 1] : bounds[n]], dtype=object).reshape(-1, 1, d, d)
+        keys = list(map(tuple, (sphere @ gens).reshape(-1, d * d).tolist()))  # (g, label) order
+        new = dict.fromkeys(filterfalse(index.__contains__, keys))
+        index.update(zip(new, range(len(elements), len(elements) + len(new))))
+        elements += new
+        depth += [n] * len(new)
+        nbrs += zip(*[map(index.__getitem__, keys)] * n_gens)
         bounds.append(len(elements))
         if bounds[n + 1] == bounds[n]:
             break
@@ -166,17 +171,19 @@ def _ball(system: GeneratorSystem, radius: int) -> _Ball:
 def cayley_ball(system: GeneratorSystem, radius: int) -> tuple[dict[Rows, int], list[list[Rows]]]:
     """Word length of every element within the radius, plus elements by sphere.
 
-    Elements are raw row tuples (``GroupMatrix.rows``), listed in breadth-first
-    order, so each sphere is ordered by shortlex-least geodesic words.
+    Elements are raw row tuples (``GroupMatrix.rows``), re-nested from the
+    ball's flat keys and listed in breadth-first order, so each sphere is
+    ordered by shortlex-least geodesic words.
     """
     elements, depth, _, b = _ball(system, radius)
-    return dict(zip(elements, depth)), [elements[b[n] : b[n + 1]] for n in range(len(b) - 1)]
+    rows = [tuple(zip(*[iter(g)] * system.dim)) for g in elements]
+    return dict(zip(rows, depth)), [rows[b[n] : b[n + 1]] for n in range(len(b) - 1)]
 
 
 def cayley_sphere_counts(system: GeneratorSystem, radius: int) -> tuple[int, ...]:
-    """Sphere sizes #S_n of the group for n = 0..radius, by brute-force BFS."""
-    _, spheres = cayley_ball(system, radius)
-    return tuple(len(s) for s in spheres) + (0,) * (radius + 1 - len(spheres))
+    """Sphere sizes #S_n of the group for n = 0..radius, read off the Cayley ball's bounds."""
+    b = _ball(system, radius).bounds
+    return tuple(b[n + 1] - b[n] for n in range(len(b) - 1)) + (0,) * (radius + 2 - len(b))
 
 
 def build_cone_type_combing(

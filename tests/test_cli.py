@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -294,6 +295,73 @@ def test_build_combing_and_user_preset(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["path_count"]) for r in rows] == [1, 4, 12, 36, 108]
+
+
+def _free_group_file(m: int) -> dict:
+    """No-backtracking automaton of the free group <[[1,m],[0,1]], [[1,0],[m,1]]>."""
+    gens = [("a", "A", [[1, m], [0, 1]]), ("A", "a", [[1, -m], [0, 1]]),
+            ("b", "B", [[1, 0], [m, 1]]), ("B", "b", [[1, 0], [-m, 1]])]
+    inverse = {s: t for s, t, _ in gens}
+    labels = list(inverse)
+    edges = [[0, 1 + i, s] for i, s in enumerate(labels)]
+    edges += [[1 + i, 1 + j, t] for i, s in enumerate(labels)
+              for j, t in enumerate(labels) if t != inverse[s]]
+    return {
+        "dim": 2,
+        "generators": [{"label": s, "inverse": t, "matrix": rows} for s, t, rows in gens],
+        "vertices": 5,
+        "initial": 0,
+        "edges": edges,
+    }
+
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+# sha256 of the reports of the Cayley ball's consumers, recorded when each
+# product of the ball was a Python sum over a row and a column
+_FREE_SPHERES = "3bda1fdfdfa705007d1485edf6b12c3c8ec1fed776ba6ea19e74811e0ea0b518"
+_FINITE_GROWTH_SPHERES = "44fe248b9ea8436255726e2571ab4cee92354bb1409917d1bc5509eae82fe345"
+
+
+@pytest.mark.parametrize("m, stdout_digest, file_digest", [
+    (2, "9560c88176b619b38e1695ba78a065623c53be46928394f2c00947bf32f7d091",
+     "5e88b461f9c8f73db77ddeaeeeb457f5bf7b240b349ec4368ee846a9284b2ab7"),
+    (3, "f551c0e2fcfca2b059868dd38ad039d09046f01ba92debcc56117f411cdf5c4b",
+     "3f51ce402ade0fe0d8a10df96e66f6fdd9840bd6ac7950059a10c92974fa06f3"),
+    (4, "1294c3dffef9cd1f9abfbce7be501803af951597d16525da0a3ed5b5fb4c9d66",
+     "c5f296023a538f8bbd79ab90250d04f328e7d68a6e40f075f05dd5c3102a7d92"),
+])
+def test_build_combing_and_cross_check_bytes_on_free_groups(
+    tmp_path, monkeypatch, capsys, m, stdout_digest, file_digest
+):
+    # relative paths, so the echoed config does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    Path(f"free_m{m}.json").write_text(json.dumps(_free_group_file(m)))
+    code, out, _ = run_cli(
+        capsys, "build-combing", "--preset", f"user:free_m{m}.json", "--radius", "8",
+        "--lookahead", "2", "--verify-radius", "6", "--output", f"combed_m{m}.json",
+    )
+    assert code == 0
+    assert _sha256(out) == stdout_digest
+    assert _sha256(Path(f"combed_m{m}.json").read_bytes()) == file_digest
+    for source in (f"free_m{m}.json", f"combed_m{m}.json"):
+        code, out, _ = run_cli(
+            capsys, "spheres", "--preset", f"user:{source}", "--n-max", "8", "--cross-check"
+        )
+        assert (code, _sha256(out)) == (0, _FREE_SPHERES)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("free2_sanov", _FREE_SPHERES),
+    ("free2_symbolic", _FREE_SPHERES),
+    ("z_parabolic", _FINITE_GROWTH_SPHERES),
+    ("dinf_involutions", _FINITE_GROWTH_SPHERES),
+])
+def test_spheres_cross_check_bytes_on_presets(capsys, name, digest):
+    code, out, _ = run_cli(capsys, "spheres", "--preset", name, "--n-max", "8", "--cross-check")
+    assert (code, _sha256(out)) == (0, digest)
 
 
 def _write_unit_automaton(path, n_vertices, pairs):

@@ -1,9 +1,12 @@
 """Graph structures, combing construction, path counting, verification, io."""
 
+import gc
 import hashlib
 import itertools
 import json
 import re
+import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from spherecomb.errors import (
     NotAlmostSemisimpleError,
     RadiusExhaustedError,
 )
-from spherecomb import combing
+from spherecomb import algebra, combing
 from spherecomb.algebra import GeneratorSystem
 from spherecomb.combing import cayley_ball
 from conftest import reduced_words, sanov_system
@@ -128,6 +131,73 @@ def test_cayley_ball_matches_word_oracle(system, radius):
     padded = spheres + [[]] * (radius + 1 - len(spheres))
     assert padded == [[g.rows for g in level] for level in want]
     assert cayley_sphere_counts(system, radius) == tuple(len(level) for level in want)
+
+
+def product_loop_ball(system: GeneratorSystem, radius: int):
+    """(elements, depth, nbrs, bounds) of the Cayley ball, one row-tuple product at a time.
+
+    The breadth-first search as it was written before spheres were
+    multiplied by numpy: elements are nested row tuples, and each product
+    is a Python sum over a row and a column.
+    """
+    cols = [tuple(zip(*m.rows)) for m in system.matrices]
+    ident = GroupMatrix.identity(system.dim).rows
+    elements, depth, nbrs, bounds = [ident], [0], [], [0, 1]
+    index = {ident: 0}
+    for n in range(1, radius + 1):
+        for g in elements[bounds[n - 1] : bounds[n]]:
+            row = []
+            for c in cols:
+                h = tuple(tuple(sum(map(mul, r, col)) for col in c) for r in g)
+                i = index.get(h)
+                if i is None:
+                    i = index[h] = len(elements)
+                    elements.append(h)
+                    depth.append(n)
+                row.append(i)
+            nbrs.append(tuple(row))
+        bounds.append(len(elements))
+        if bounds[n + 1] == bounds[n]:
+            break
+    return elements, depth, nbrs, bounds
+
+
+# Shears far past int64, the d=3 involutions, finite cyclic groups of order
+# 4 and 6 (the ball stops early) and a d=1 system.
+PRODUCT_LOOP_SYSTEMS = [free_system(m) for m in (2, 3, 2**31, 2**63, 2**70)] + [
+    preset("dinf_involutions").system,
+    GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 0)))]),
+    GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 1)))]),
+    GeneratorSystem.from_pairs([("a", "A", ((1,),))]),
+]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(PRODUCT_LOOP_SYSTEMS), st.integers(0, 7))
+def test_cayley_ball_equals_the_product_loop(system, radius):
+    elements, depth, nbrs, bounds = product_loop_ball(system, radius)
+    ball = combing._ball(system, radius)
+    assert (ball.depth, ball.nbrs, ball.bounds) == (depth, nbrs, bounds)
+    spheres = [elements[bounds[n] : bounds[n + 1]] for n in range(len(bounds) - 1)]
+    assert repr(cayley_ball(system, radius)) == repr((dict(zip(elements, depth)), spheres))
+    padded = [len(s) for s in spheres] + [0] * (radius + 1 - len(spheres))
+    assert cayley_sphere_counts(system, radius) == tuple(padded)
+
+
+def test_cayley_ball_memory_is_bounded():
+    # The ball of free2_sanov at radius 8 (13,121 elements) as flat entry
+    # tuples: at most 3.0 MiB kept once it returns, 4.5 MiB at the peak.
+    system = preset("free2_sanov").system
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ball = combing._ball(system, 8)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ball.bounds[-1] == 13121
+    assert kept <= 3.0 * 2**20
+    assert peak <= 4.5 * 2**20
 
 
 def test_enumerated_words_are_exactly_reduced_words(symbolic_graph, sanov):
@@ -278,21 +348,25 @@ def test_ball_build_and_check_make_no_group_matrix_products(monkeypatch, sanov):
 
 @pytest.mark.parametrize("step, radius", [(1, 6), (2, 3)], ids=["unit", "composite"])
 def test_verify_geodesic_multiplies_only_in_the_ball(monkeypatch, step, radius):
-    # the check reads the ball's neighbour table; composite labels run past it
-    calls = []
-    mul = combing._mul
-
-    def counted(rows, cols):
-        calls.append(1)
-        return mul(rows, cols)
-
-    monkeypatch.setattr(combing, "_mul", counted)
+    # the check builds one Cayley ball and reads its neighbour table;
+    # composite labels run past it, and nothing else is multiplied
     system = free_system(2)
     graph = p_step(build_free_group_combing(system), step)
-    combing._ball(system, radius)
-    in_ball = len(calls)
+    calls = []
+    ball = combing._ball
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ball(*args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("a product outside the Cayley ball")
+
+    monkeypatch.setattr(combing, "_ball", counted)
+    monkeypatch.setattr(algebra, "_mul", forbidden)
+    monkeypatch.setattr(GroupMatrix, "__matmul__", forbidden)
     rep = verify_geodesic(graph, radius)
-    assert len(calls) == 2 * in_ball
+    assert calls == [((system, radius), {})]
     assert rep.passed == (step == 1)
 
 
