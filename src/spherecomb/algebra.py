@@ -147,9 +147,6 @@ class TorusPoint:
             coords.append(round(f * SCALE) & MASK)
         return cls(tuple(coords))
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(c / SCALE for c in self.coords)
-
     def __str__(self) -> str:
         return "(" + ", ".join(f"{c}/2^64" for c in self.coords) + ")"
 

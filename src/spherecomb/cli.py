@@ -57,7 +57,7 @@ def _parse_term(entry) -> tuple[tuple[int, ...], complex]:
         else:
             re, im = coeff
             c = complex(re, im)
-        return tuple(int(v) for v in k), c
+        return k, c
     except (TypeError, ValueError):
         raise SpherecombError(
             f"bad function term {entry!r}: expected [[k1, ..., kd], coeff]"
@@ -73,10 +73,14 @@ def _parse_function(k_spec, terms_spec, dim: int) -> TestFunction:
             raise SpherecombError(f"function must be a JSON list of terms, not {terms_spec!r}")
         f = TestFunction(tuple(_parse_term(entry) for entry in terms_spec))
     elif k_spec is not None:
-        try:
-            k = tuple(int(v) for v in (k_spec.split(",") if isinstance(k_spec, str) else k_spec))
-        except TypeError:
-            raise SpherecombError(f"k must be a list of integers, not {k_spec!r}") from None
+        k = k_spec
+        if isinstance(k_spec, str):
+            try:
+                k = json.loads(f"[{k_spec}]")
+            except ValueError:
+                raise SpherecombError(f"k must be integers separated by commas, not {k_spec!r}") from None
+        if not isinstance(k, list):
+            raise SpherecombError(f"k must be a list of integers, not {k_spec!r}")
         f = TestFunction.character(k)
     else:
         f = TestFunction.character((1,) + (0,) * (dim - 1))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,12 +46,22 @@ _BLOCK = 4096  # rows summed pairwise before the compensated sum across blocks
 _RAY_BLOCK = 4096  # ray steps per prefix-product scan
 
 
+def _frequency_entry(v) -> int:
+    """An integer (numpy's too) or an integral float as an int; a bool is no integer here."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"frequency entry {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Trigonometric polynomial on the torus: sum of coeff * chi_k.
 
     chi_k(x) = exp(2 pi i <k, x>); the pairing <k, x> is computed exactly
-    mod 1 in 64-bit fixed point before any float enters.
+    mod 1 in 64-bit fixed point before any float enters.  A frequency entry
+    that is not an integer or an integral float raises ``ValueError``.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -58,7 +69,7 @@ class TestFunction:
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     def __post_init__(self):
-        terms = tuple((tuple(int(v) for v in k), complex(c)) for k, c in self.terms)
+        terms = tuple((tuple(map(_frequency_entry, k)), complex(c)) for k, c in self.terms)
         if terms:
             d = len(terms[0][0])
             for k, _ in terms:

@@ -1,15 +1,16 @@
 """Ready-made generator systems with verified geodesic combings.
 
-Each preset bundles a matrix generator system, a combing of its group, and a
-default irrational basepoint on the torus.  Two of them average to Haar
-measure (the free group on the Sanov generators, combed two ways); two are
-controls where equidistribution fails and the averages stay visibly large.
+Each preset bundles a combing of a matrix group (its graph carries the
+generator system) and a default irrational basepoint on the torus.  Two of
+them average to Haar measure (the free group on the Sanov generators, combed
+two ways); two are controls where equidistribution fails and the averages
+stay visibly large.
 
-Every automaton is computed from its generators.  ``free2_sanov``,
-``z_parabolic`` and ``dinf_involutions`` are the cone-type automata that
-:func:`~spherecomb.combing.build_cone_type_combing` computes from their
-matrices at radius ``CONE_RADIUS`` and lookahead ``CONE_LOOKAHEAD``;
-``free2_symbolic`` is the no-backtracking automaton of
+All four are built from one table, ``_RECIPES``: per preset the generator
+pairs, the combing construction, the basepoint and whether it
+equidistributes.  Every automaton is computed from its generators:
+:func:`~spherecomb.combing.build_cone_type_combing` at radius ``CONE_RADIUS``
+and lookahead ``CONE_LOOKAHEAD``, or the no-backtracking automaton of
 :func:`~spherecomb.combing.build_free_group_combing`.  The two free-group
 constructions give equal graphs, edge for edge.
 """
@@ -35,14 +36,16 @@ CONE_LOOKAHEAD = 2
 
 @dataclass(frozen=True)
 class Preset:
-    """A named generator system with a combing and a default basepoint."""
+    """A named combing with a default basepoint; ``system`` is the graph's."""
 
     name: str
-    description: str
-    system: GeneratorSystem
     graph: GraphStructure
     basepoint: TorusPoint
     equidistributes: bool
+
+    @property
+    def system(self) -> GeneratorSystem:
+        return self.graph.system
 
 
 def _irrational_point(dim: int) -> TorusPoint:
@@ -56,105 +59,54 @@ def _irrational_point(dim: int) -> TorusPoint:
     return TorusPoint(tuple(sqrt_fix64(p) for p in primes))
 
 
-def _sanov_system() -> GeneratorSystem:
-    return GeneratorSystem.from_pairs(
-        [
-            ("a", "A", ((1, 2), (0, 1))),
-            ("b", "B", ((1, 0), (2, 1))),
-        ]
-    )
+def _cone_types(system: GeneratorSystem) -> GraphStructure:
+    return build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
 
 
-def _free2_sanov() -> Preset:
-    system = _sanov_system()
-    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
-    return Preset(
-        name="free2_sanov",
-        description=(
-            "Rank-2 free group on the unipotent matrices [[1,2],[0,1]] and "
-            "[[1,0],[2,1]], combed by its cone-type automaton (5 states)."
-        ),
-        system=system,
-        graph=graph,
-        basepoint=_irrational_point(2),
-        equidistributes=True,
-    )
+_SANOV = (("a", "A", ((1, 2), (0, 1))), ("b", "B", ((1, 0), (2, 1))))
 
-
-def _free2_symbolic() -> Preset:
-    system = _sanov_system()
-    graph = build_free_group_combing(system)
-    return Preset(
-        name="free2_symbolic",
-        description=(
-            "Same free group, combed directly from the reduced-word structure "
-            "instead of via cone types."
-        ),
-        system=system,
-        graph=graph,
-        basepoint=_irrational_point(2),
-        equidistributes=True,
-    )
-
-
-def _z_parabolic() -> Preset:
-    system = GeneratorSystem.from_pairs([("t", "T", ((1, 1), (0, 1)))])
-    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
-    # basepoint with zero second coordinate: fixed by the whole group, so
-    # spherical averages of chi_(1,0) stay at modulus one
-    return Preset(
-        name="z_parabolic",
-        description=(
-            "Infinite cyclic group generated by the shear [[1,1],[0,1]]; "
-            "a negative control where orbit averages do not equidistribute."
-        ),
-        system=system,
-        graph=graph,
-        basepoint=TorusPoint((sqrt_fix64(2), 0)),
-        equidistributes=False,
-    )
-
-
-def _dinf_involutions() -> Preset:
-    system = GeneratorSystem.from_pairs(
-        [
-            ("a", "a", ((-1, 0, 0), (0, 1, 0), (0, 0, -1))),
-            ("b", "b", ((-1, 1, 0), (0, 1, 0), (0, 0, -1))),
-        ]
-    )
-    graph = build_cone_type_combing(system, CONE_RADIUS, CONE_LOOKAHEAD)
-    return Preset(
-        name="dinf_involutions",
-        description=(
-            "Infinite dihedral group on two determinant-one involutions in "
-            "dimension three; its transition matrix has period two."
-        ),
-        system=system,
-        graph=graph,
-        basepoint=_irrational_point(3),
-        equidistributes=False,
-    )
-
-
-_BUILDERS = {
-    "free2_sanov": _free2_sanov,
-    "free2_symbolic": _free2_symbolic,
-    "z_parabolic": _z_parabolic,
-    "dinf_involutions": _dinf_involutions,
+# name: (generator pairs, combing construction, basepoint or None for the
+# irrational point of the dimension, equidistributes)
+_RECIPES = {
+    # rank-2 free group on the unipotent Sanov matrices, cone types (5 states)
+    "free2_sanov": (_SANOV, _cone_types, None, True),
+    # the same group combed from its reduced words instead of cone types
+    "free2_symbolic": (_SANOV, build_free_group_combing, None, True),
+    # infinite cyclic group of a shear, a control that does not equidistribute;
+    # the zero second coordinate is fixed by the whole group, so spherical
+    # averages of chi_(1,0) stay at modulus one
+    "z_parabolic": (
+        (("t", "T", ((1, 1), (0, 1))),),
+        _cone_types,
+        TorusPoint((sqrt_fix64(2), 0)),
+        False,
+    ),
+    # infinite dihedral group on two determinant-one involutions in dimension
+    # three, a control whose transition matrix has period two
+    "dinf_involutions": (
+        (("a", "a", ((-1, 0, 0), (0, 1, 0), (0, 0, -1))), ("b", "b", ((-1, 1, 0), (0, 1, 0), (0, 0, -1)))),
+        _cone_types,
+        None,
+        False,
+    ),
 }
 
 
 def preset_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_RECIPES)
 
 
 @lru_cache(maxsize=None)
 def _shipped(name: str) -> Preset:
     try:
-        return _BUILDERS[name]()
+        pairs, combing, basepoint, equidistributes = _RECIPES[name]
     except KeyError:
         known = ", ".join(preset_names())
         raise SpherecombError(f"unknown preset {name!r}; known presets: {known}") from None
+    graph = combing(GeneratorSystem.from_pairs(pairs))
+    if basepoint is None:
+        basepoint = _irrational_point(graph.system.dim)
+    return Preset(name, graph, basepoint, equidistributes)
 
 
 def preset(name: str) -> Preset:
@@ -170,14 +122,7 @@ def preset(name: str) -> Preset:
         if not path:
             raise SpherecombError("user preset needs a path: user:<file.json>")
         graph = load_automaton(path)
-        return Preset(
-            name=name,
-            description=f"user automaton loaded from {path}",
-            system=graph.system,
-            graph=graph,
-            basepoint=_irrational_point(graph.system.dim),
-            equidistributes=False,
-        )
+        return Preset(name, graph, _irrational_point(graph.system.dim), False)
     return _shipped(name)
 
 

@@ -444,6 +444,28 @@ def test_bad_input_messages(tmp_path, capsys, argv, message):
     assert err == message.format(cfg=cfg)
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["--function", "[[[1.5,0],[1,0]]]"], "1.5"),
+        (["--function", "[[[true,0],[1,0]]]"], "True"),
+        (["--k", "1.5,0"], "1.5"),
+        (["--config", {"k": [1.9, 0]}], "1.9"),
+    ],
+    ids=["function-float", "function-bool", "k-flag-float", "k-config-float"],
+)
+def test_non_integer_frequency_exits_2(tmp_path, capsys, argv, entry):
+    # rejected by name, never truncated to the (1, 0) character's table
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
+    code, out, err = run_cli(capsys, "equidist", "--mode", "exact", "--n-max", "3", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: frequency entry {entry} is not an integer\n"
+
+
 def _readme_commands() -> list[list[str]]:
     """Every ``spherecomb ...`` line of README's sh blocks, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

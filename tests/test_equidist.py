@@ -1,11 +1,14 @@
 """Averaging operators: exact engines, oracles, Monte Carlo estimators."""
 
 import cmath
+import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +85,25 @@ def test_test_function_rejects_mixed_dimensions():
         TestFunction((((1, 0), 1.0 + 0j), ((1, 0, 0), 1.0 + 0j)))
 
 
+@pytest.mark.parametrize(
+    "entry", [1.5, True, np.bool_(True), "1", None], ids=["float", "bool", "numpy-bool", "string", "none"]
+)
+def test_test_function_rejects_non_integer_frequencies(entry):
+    message = f"frequency entry {entry!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TestFunction((((entry, 0), 1.0 + 0j),))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TestFunction.character((0, entry))
+
+
+def test_test_function_accepts_integral_frequency_entries():
+    for entry in (np.int64(2), 2.0, np.uint8(2), 2):
+        f = TestFunction.character((entry, -1))
+        assert f.terms == (((2, -1), 1.0 + 0j),)
+        assert all(type(v) is int for v in f.terms[0][0])
+        assert TestFunction((((entry, 0), 0.5),)).terms == (((2, 0), 0.5 + 0j),)
+
+
 def test_orbit_tables_sizes_match_sphere_counts(free2_graph, x2):
     tables = orbit_tables(free2_graph, x2, 6)
     counts = sphere_counts(free2_graph, 6)
@@ -154,6 +176,23 @@ def test_orbit_tables_match_pinned_digests(free2_graph, x2):
         for table in orbit_tables(free2_graph, x2, 10, **kwargs):
             h.update(table.astype("<u8").tobytes())
         assert h.hexdigest() == digest, kwargs
+
+
+def test_orbit_tables_memory_is_bounded(free2):
+    # Peaks of the free2_sanov orbit with the kernel that groups each level's
+    # parents by vertex: 10.5 MiB inverse at n = 11 and 5.7 MiB forward at
+    # n = 10.  A kernel that gathers one action per child (acts[edges] @
+    # state[parents]) peaks near 22.8 and 10.8 MiB and fails.
+    for n, inverse, bound in ((11, True, 13.0), (10, False, 7.0)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tables = orbit_tables(free2.graph, free2.basepoint, n, inverse=inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables[n]) == 4 * 3 ** (n - 1)
+        assert peak <= bound * 2**20, (n, inverse, peak / 2**20)
 
 
 def test_budget_exceeded(free2_graph, x2):

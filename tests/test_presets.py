@@ -55,6 +55,25 @@ def test_preset_edges_match_pinned_digests(name, digest):
     assert hashlib.sha256(repr(graph.edges).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("free2_sanov", "7f2a0c3a60fcc96ea24aee52bf10f6800395b18e2d58a613bf615eb296b11750"),
+        ("free2_symbolic", "d24465bdc85e5545f1016bbc5679335da894d87aac1174774e93c88531d5d9d2"),
+        ("z_parabolic", "9ee454d81385197540027afd6a0cf0c8884d21fb42f0b8cc8fc3a8f88a4a792f"),
+        ("dinf_involutions", "0bf5bf4e82b1f78457326ac149334c1dd58c169b715a538a741f66046b05ce96"),
+    ],
+)
+def test_presets_match_pinned_digests(name, digest):
+    # sha256 of the repr of every part of the preset, recorded when each
+    # preset had its own builder function; the parts, not repr(ps), so that
+    # a field's removal does not move the digest
+    ps = preset(name)
+    parts = (ps.name, ps.system, ps.graph, ps.basepoint, ps.equidistributes)
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == digest
+    assert ps.system is ps.graph.system
+
+
 def test_free2_presets_agree():
     a = preset("free2_sanov")
     b = preset("free2_symbolic")
@@ -96,7 +115,10 @@ def test_user_preset_round_trip(tmp_path):
     ps = preset(f"user:{path}")
     assert ps.graph.n_vertices == 5
     assert sphere_counts(ps.graph, 5) == (1, 4, 12, 36, 108, 324)
-    assert ps.basepoint.dim == 2
+    assert ps.system is ps.graph.system
+    assert ps.name == f"user:{path}"
+    assert ps.basepoint.coords == (sqrt_fix64(2), sqrt_fix64(3))
+    assert not ps.equidistributes
 
 
 def test_user_preset_rereads_rewritten_file(tmp_path):
@@ -107,6 +129,8 @@ def test_user_preset_rereads_rewritten_file(tmp_path):
     ps = preset(f"user:{path}")
     assert ps.system.dim == 3
     assert sphere_counts(ps.graph, 4) == (1, 2, 2, 2, 2)
+    assert ps.basepoint.coords == (sqrt_fix64(2), sqrt_fix64(3), sqrt_fix64(5))
+    assert not ps.equidistributes
 
 
 def test_user_preset_needs_path():
