@@ -376,7 +376,7 @@ def _cmd_build_combing(cfg: dict) -> int:
         "results": {
             "n_vertices": graph.n_vertices,
             "n_edges": len(graph.edges),
-            "sphere_counts": list(sphere_counts(graph, cfg["verify_radius"])),
+            "sphere_counts": list(rep.automaton_counts),
             "verified_to_radius": cfg["verify_radius"],
         },
     }
@@ -453,8 +453,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """``--k -1,2`` reads as ``--k=-1,2``; argparse alone takes ``-1,2`` for an option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            opt = self._option_string_actions.get(joined[-1]) if joined else None
+            if opt and opt.nargs is None and arg[:1] == "-" and arg[1:2] not in ("", "-"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherecomb",
         description="Sphere and path averages for matrix groups acting on the torus.",
     )

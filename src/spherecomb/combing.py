@@ -23,7 +23,6 @@ multiplicity.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
@@ -33,7 +32,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import spectral
-from .algebra import GeneratorSystem, GroupMatrix, Rows
+from .algebra import GeneratorSystem, GroupMatrix
 from .errors import (
     AutomatonFormatError,
     InconsistentAutomatonError,
@@ -130,7 +129,7 @@ def build_free_group_combing(system: GeneratorSystem) -> GraphStructure:
 # breadth-first search on the Cayley graph (the geodesic oracle)
 
 
-class _Ball(NamedTuple):
+class CayleyBall(NamedTuple):
     """Cayley ball as flat row-major tuples, with a neighbour table for the inner elements."""
 
     elements: list[tuple[int, ...]]  # breadth-first order, d*d Python ints each
@@ -139,19 +138,20 @@ class _Ball(NamedTuple):
     bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
 
 
-def _ball(system: GeneratorSystem, radius: int) -> _Ball:
+def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
     """Breadth-first search in label order; stops at an empty sphere.
 
-    Each sphere times every generator is one object-dtype ``np.matmul`` of
-    exact Python ints; the products are matched to the known elements, and
-    new ones numbered in first-occurrence order, by C-level passes over keys.
+    Elements are numbered in first-occurrence order, so each sphere is
+    ordered by shortlex-least geodesic words.  Each sphere times every
+    generator is one exact object-dtype ``np.matmul``; products are matched
+    to known elements, and new ones numbered, by C-level passes over keys.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     d, n_gens = system.dim, len(system.matrices)
     gens = np.array([m.rows for m in system.matrices], dtype=object)
     ident = sum(GroupMatrix.identity(d).rows, ())
-    ball = _Ball([ident], [0], [], [0, 1])
+    ball = CayleyBall([ident], [0], [], [0, 1])
     elements, depth, nbrs, bounds = ball
     index = {ident: 0}
     for n in range(1, radius + 1):
@@ -168,22 +168,14 @@ def _ball(system: GeneratorSystem, radius: int) -> _Ball:
     return ball
 
 
-def cayley_ball(system: GeneratorSystem, radius: int) -> tuple[dict[Rows, int], list[list[Rows]]]:
-    """Word length of every element within the radius, plus elements by sphere.
-
-    Elements are raw row tuples (``GroupMatrix.rows``), re-nested from the
-    ball's flat keys and listed in breadth-first order, so each sphere is
-    ordered by shortlex-least geodesic words.
-    """
-    elements, depth, _, b = _ball(system, radius)
-    rows = [tuple(zip(*[iter(g)] * system.dim)) for g in elements]
-    return dict(zip(rows, depth)), [rows[b[n] : b[n + 1]] for n in range(len(b) - 1)]
+def _sphere_sizes(bounds: list[int], radius: int) -> tuple[int, ...]:
+    """#S_n for n = 0..radius from a ball's bounds, 0 past a sphere that came out empty."""
+    return tuple(bounds[n + 1] - bounds[n] if n + 1 < len(bounds) else 0 for n in range(radius + 1))
 
 
 def cayley_sphere_counts(system: GeneratorSystem, radius: int) -> tuple[int, ...]:
     """Sphere sizes #S_n of the group for n = 0..radius, read off the Cayley ball's bounds."""
-    b = _ball(system, radius).bounds
-    return tuple(b[n + 1] - b[n] for n in range(len(b) - 1)) + (0,) * (radius + 2 - len(b))
+    return _sphere_sizes(cayley_ball(system, radius).bounds, radius)
 
 
 def build_cone_type_combing(
@@ -205,7 +197,7 @@ def build_cone_type_combing(
         raise RadiusExhaustedError(
             f"radius {radius} leaves no room below lookahead {lookahead}"
         )
-    depth, nbrs, bounds = _ball(system, radius)[1:]  # drop the elements before the search
+    depth, nbrs, bounds = cayley_ball(system, radius)[1:]  # drop the elements before the search
     depth_cap = radius - lookahead
     if bounds[-1] == bounds[-2]:
         raise RadiusExhaustedError(
@@ -241,7 +233,7 @@ def build_cone_type_combing(
 
     graph = GraphStructure(system, len(rep), 0, tuple(edges))
     got = sphere_counts(graph, depth_cap)
-    want = tuple(bounds[n + 1] - bounds[n] for n in range(depth_cap + 1))
+    want = _sphere_sizes(bounds, depth_cap)
     if got != want:
         raise InconsistentAutomatonError(
             f"inconsistent automaton: path counts {got} != sphere counts {want} "
@@ -434,8 +426,7 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     failure in that order.  A path whose word runs past the table's rows
     spells more letters than it has edges.
     """
-    _, depth, nbrs, _ = _ball(graph.system, radius)
-    sizes = Counter(depth)
+    depth, nbrs, bounds = cayley_ball(graph.system, radius)[1:]
     col = {s: j for j, s in enumerate(graph.system.labels)}
     seen: dict[int, tuple[str, ...]] = {}
     injective = True
@@ -479,7 +470,7 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
         injective=injective,
         length_preserving=length_preserving,
         automaton_counts=tuple(auto_counts),
-        bfs_counts=tuple(sizes[n] for n in range(radius + 1)),
+        bfs_counts=_sphere_sizes(bounds, radius),
         witness=witness,
     )
 

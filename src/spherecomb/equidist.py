@@ -42,8 +42,7 @@ from .errors import BudgetExceededError, DimensionMismatchError, SpherecombError
 DEFAULT_BUDGET = 10**7
 
 _TWO_PI_OVER_SCALE = 2.0 * np.pi / SCALE
-_BLOCK = 4096  # rows summed pairwise before the compensated sum across blocks
-_RAY_BLOCK = 4096  # ray steps per prefix-product scan
+_BLOCK = 4096  # rows (or ray steps) summed pairwise before the compensated sum across blocks
 
 
 def _frequency_entry(v) -> int:
@@ -122,13 +121,6 @@ def _across_blocks(block_sums: list[complex]) -> complex:
     )
 
 
-def _block_sum(vals: np.ndarray) -> complex:
-    """Deterministic sum: pairwise inside blocks, compensated across blocks."""
-    return _across_blocks(
-        [complex(vals[i : i + _BLOCK].sum()) for i in range(0, len(vals), _BLOCK)]
-    )
-
-
 def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
     """Per edge, the (d, d) matrix applied to the running state, as uint64 (mod 2**64).
 
@@ -142,6 +134,13 @@ def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
         m = system.word_matrix(word)
         acts.append(tuple(tuple(v & MASK for v in row) for row in m.rows))
     return np.array(acts, dtype=np.uint64).reshape(-1, system.dim, system.dim)
+
+
+def _basepoint_column(x: TorusPoint, d: int) -> np.ndarray:
+    """The basepoint's fixed-point coordinates as a uint64 vector, on a torus of dimension d."""
+    if x.dim != d:
+        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
+    return np.array(x.coords, dtype=np.uint64)
 
 
 def _check_length(n_max: int) -> None:
@@ -174,8 +173,8 @@ def orbit_tables(
     expanded parent by parent, out-edges in edge order, with every step an
     exact matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
     """
-    if x.dim != graph.system.dim:
-        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {graph.system.dim}")
+    d = graph.system.dim
+    x_col = _basepoint_column(x, d)
     if start is None:
         start = graph.initial
     _check_vertices(graph, start=start, end=end)
@@ -183,16 +182,14 @@ def orbit_tables(
     total_nodes = sum(counts_any[m][start] for m in range(n_max + 1))
     if total_nodes > budget:
         raise BudgetExceededError(total_nodes, budget)
-    d = graph.system.dim
     # Per node the state is w^-1.x as a (d, 1) column, or in forward mode the
     # transpose of w, which a child's edge action A_e updates as A_e^T . state.
     acts = _edge_actions(graph, inverse)
     if inverse:
-        state = np.array(x.coords, dtype=np.uint64).reshape(1, d, 1)
+        state = x_col.reshape(1, d, 1)
     else:
         acts = acts.transpose(0, 2, 1)
         state = np.eye(d, dtype=np.uint64).reshape(1, d, d)
-        x_col = np.array(x.coords, dtype=np.uint64)
     out = graph.out_edges
     dst = np.array([e.dst for e in graph.edges], dtype=np.intp)
     degree = np.array([len(o) for o in out], dtype=np.intp)
@@ -236,9 +233,9 @@ def _character_values(pts: np.ndarray, k: Sequence[int]) -> np.ndarray:
 def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
     """Sum of chi_k over each table, phases computed exactly mod 2**64.
 
-    Each table is evaluated and summed one block of rows at a time, so the
-    block's temporaries stay small; the sums equal ``_block_sum`` of the
-    whole table's character values.
+    Each table is evaluated and summed one block of ``_BLOCK`` rows at a
+    time, so the block's temporaries stay small; the block sums are pairwise
+    (numpy's) and are added by the compensated ``_across_blocks``.
     """
     for arr in tables:
         if len(k) != arr.shape[1]:
@@ -552,15 +549,14 @@ def mc_spherical(
     if samples < 1:
         raise ValueError("need at least one sample")
     d = graph.system.dim
-    if x.dim != d:
-        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
+    x_col = _basepoint_column(x, d)
     lp = markov_mod.lambda_prime(graph, data, n)
     rng = markov_mod._as_rng(seed)
     paths = np.array([lp.sample(rng) for _ in range(samples)], dtype=np.intp)
     paths = paths.reshape(samples, n)
     acts = _edge_actions(graph, inverse)
     # w^-1.x applies the edges' inverses first to last; w.x applies them last to first
-    state = np.tile(np.array(x.coords, dtype=np.uint64).reshape(1, d, 1), (samples, 1, 1))
+    state = np.tile(x_col.reshape(1, d, 1), (samples, 1, 1))
     for i in range(n) if inverse else reversed(range(n)):
         state = acts[paths[:, i]] @ state
     values = _f_values(f, state.reshape(samples, d))
@@ -631,24 +627,22 @@ def random_geodesic_average(
     _check_length(n_max)
     graph = model.graph
     d = graph.system.dim
-    if x.dim != d:
-        raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
+    x_col = _basepoint_column(x, d)
     if start is None:
         start = graph.initial
     path = markov_mod.sample_path(model, start, n_max, seed)
     # prefix m of w^-1.x is A_m ... A_1 x; of w.x it is W_1 ... W_m x, whose
     # transpose is the same left-to-right product over the transposes W_i^T.
-    # Each block of steps is scanned on its own and then carries on from the
-    # product so far, so the working arrays stay small on long rays.
+    # Each block of steps is scanned and summed on its own, then carries on
+    # from the product so far, so the working arrays stay small on long rays.
     acts = _edge_actions(graph, inverse)
     if not inverse:
         acts = acts.transpose(0, 2, 1)
     edges = np.array(path.edges, dtype=np.intp)
-    x_col = np.array(x.coords, dtype=np.uint64)
     carry = np.eye(d, dtype=np.uint64)
-    values = np.empty(n_max, dtype=np.complex128)
-    for lo in range(0, n_max, _RAY_BLOCK):
-        prods = acts[edges[lo : lo + _RAY_BLOCK]]
+    block_sums = []
+    for lo in range(0, n_max, _BLOCK):
+        prods = acts[edges[lo : lo + _BLOCK]]
         shift = 1
         while shift < len(prods):
             prods[shift:] = prods[shift:] @ prods[:-shift]
@@ -657,5 +651,5 @@ def random_geodesic_average(
         carry = prods[-1]
         if not inverse:
             prods = prods.transpose(0, 2, 1)
-        values[lo : lo + len(prods)] = _f_values(f, prods @ x_col)
-    return _block_sum(values) / n_max
+        block_sums.append(complex(_f_values(f, prods @ x_col).sum()))
+    return _across_blocks(block_sums) / n_max

@@ -489,6 +489,24 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: spherecomb {shlex.join(argv)}")
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "-1,2"), ("--basepoint", "-1/3,0"), ("--basepoint", "-.25,0")],
+)
+def test_negative_value_after_its_flag_is_the_flags_value(capsys, flag, value):
+    argv = ["equidist", "--preset", "free2_sanov", "--n-max", "4"]
+    spaced = run_cli(capsys, *argv, flag, value)
+    assert spaced == run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced[0] == 0
+
+
+def test_option_after_a_value_taking_option_is_not_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["equidist", "--k", "--json"])
+    assert exc.value.code == 2
+    assert "argument --k: expected one argument" in capsys.readouterr().err
+
+
 def test_malformed_automaton_file_exits_2_without_traceback(tmp_path):
     auto = tmp_path / "bad.json"
     auto.write_text(json.dumps({

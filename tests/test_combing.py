@@ -117,6 +117,17 @@ def word_ball(system: GeneratorSystem, radius: int) -> list[list[GroupMatrix]]:
     return levels
 
 
+def nested_ball(system: GeneratorSystem, radius: int):
+    """Word length of each element of the Cayley ball, and the ball by spheres.
+
+    Elements are the ball's flat keys re-nested into row tuples
+    (``GroupMatrix.rows``), in breadth-first order.
+    """
+    elements, depth, _, b = cayley_ball(system, radius)
+    rows = [tuple(zip(*[iter(g)] * system.dim)) for g in elements]
+    return dict(zip(rows, depth)), [rows[b[n] : b[n + 1]] for n in range(len(b) - 1)]
+
+
 BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + [
     preset(name).system for name in preset_names()
 ] + [GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))])]
@@ -125,7 +136,7 @@ BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + [
 @settings(max_examples=40)
 @given(st.sampled_from(BALL_SYSTEMS), st.integers(0, 5))
 def test_cayley_ball_matches_word_oracle(system, radius):
-    dist, spheres = cayley_ball(system, radius)
+    dist, spheres = nested_ball(system, radius)
     want = word_ball(system, radius)
     assert dist == {g.rows: n for n, level in enumerate(want) for g in level}
     padded = spheres + [[]] * (radius + 1 - len(spheres))
@@ -176,12 +187,15 @@ PRODUCT_LOOP_SYSTEMS = [free_system(m) for m in (2, 3, 2**31, 2**63, 2**70)] + [
 @given(st.sampled_from(PRODUCT_LOOP_SYSTEMS), st.integers(0, 7))
 def test_cayley_ball_equals_the_product_loop(system, radius):
     elements, depth, nbrs, bounds = product_loop_ball(system, radius)
-    ball = combing._ball(system, radius)
+    ball = cayley_ball(system, radius)
     assert (ball.depth, ball.nbrs, ball.bounds) == (depth, nbrs, bounds)
     spheres = [elements[bounds[n] : bounds[n + 1]] for n in range(len(bounds) - 1)]
-    assert repr(cayley_ball(system, radius)) == repr((dict(zip(elements, depth)), spheres))
+    assert repr(nested_ball(system, radius)) == repr((dict(zip(elements, depth)), spheres))
     padded = [len(s) for s in spheres] + [0] * (radius + 1 - len(spheres))
     assert cayley_sphere_counts(system, radius) == tuple(padded)
+    # the geodesic check reads the same sphere sizes, zeros past a ball that stops
+    loops = GraphStructure(system, 1, 0, tuple(Edge(0, 0, (s,)) for s in system.labels))
+    assert verify_geodesic(loops, radius).bfs_counts == tuple(padded)
 
 
 def test_cayley_ball_memory_is_bounded():
@@ -191,7 +205,7 @@ def test_cayley_ball_memory_is_bounded():
     gc.collect()
     tracemalloc.start()
     try:
-        ball = combing._ball(system, 8)
+        ball = cayley_ball(system, 8)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -311,6 +325,24 @@ def test_cone_type_insufficient_depth_is_inconsistent(sanov):
         build_cone_type_combing(sanov, 4, 3)
 
 
+def test_cone_type_self_check_misses_a_relation_past_its_depth():
+    # A known hole, pinned as it stands: the build compares path counts with
+    # the Cayley spheres only up to radius - lookahead.  This SL3(Z) pair has
+    # a relation that first shows at sphere 9, so radius 8 accepts a free
+    # group automaton with 36 more paths of length 9 than sphere 9 has elements.
+    system = GeneratorSystem.from_pairs([
+        ("a", "A", ((2, 1, 0), (1, 1, 0), (0, 0, 1))),
+        ("b", "B", ((1, 0, 0), (0, 2, 1), (0, 1, 1))),
+    ])
+    graph = build_cone_type_combing(system, 8, 2)
+    assert (graph.n_vertices, len(graph.edges)) == (5, 16)
+    assert sphere_counts(graph, 9)[9] == 26244
+    assert cayley_sphere_counts(system, 9)[9] == 26208
+    rep = verify_geodesic(graph, 9)
+    assert rep.length_preserving and not rep.injective and not rep.passed
+    assert rep.witness == "words aBAbbaBAb and AbaBAAbaB evaluate equally"
+
+
 @pytest.mark.parametrize(
     "system, digest",
     [
@@ -353,7 +385,7 @@ def test_verify_geodesic_multiplies_only_in_the_ball(monkeypatch, step, radius):
     system = free_system(2)
     graph = p_step(build_free_group_combing(system), step)
     calls = []
-    ball = combing._ball
+    ball = combing.cayley_ball
 
     def counted(*args, **kwargs):
         calls.append((args, kwargs))
@@ -362,7 +394,7 @@ def test_verify_geodesic_multiplies_only_in_the_ball(monkeypatch, step, radius):
     def forbidden(*args):
         raise AssertionError("a product outside the Cayley ball")
 
-    monkeypatch.setattr(combing, "_ball", counted)
+    monkeypatch.setattr(combing, "cayley_ball", counted)
     monkeypatch.setattr(algebra, "_mul", forbidden)
     monkeypatch.setattr(GroupMatrix, "__matmul__", forbidden)
     rep = verify_geodesic(graph, radius)
@@ -413,7 +445,7 @@ def _brute_force_geodesic_check(graph, radius):
     A path that spells more letters than it has edges fails length
     preservation and takes no part in the injectivity check.
     """
-    dist, spheres = cayley_ball(graph.system, radius)
+    dist, spheres = nested_ball(graph.system, radius)
     counts, seen = [], set()
     injective = length_preserving = True
     for n in range(radius + 1):

@@ -616,6 +616,13 @@ def test_batched_mc_equals_per_sample_oracle(data):
     assert got.samples == samples
 
 
+def _block_sum(vals: np.ndarray, block: int) -> complex:
+    """Deterministic sum of a whole array: pairwise inside blocks, compensated across them."""
+    return equidist._across_blocks(
+        [complex(vals[i : i + block].sum()) for i in range(0, len(vals), block)]
+    )
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_batched_ray_equals_word_act_on_every_prefix(data):
@@ -626,8 +633,8 @@ def test_batched_ray_equals_word_act_on_every_prefix(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     start = data.draw(st.sampled_from([None, "stationary", *range(graph.n_vertices)]))
     # short scan blocks make the running product carry across blocks
-    block = data.draw(st.sampled_from([1, 3, 8, equidist._RAY_BLOCK]))
-    with mock.patch.object(equidist, "_RAY_BLOCK", block):
+    block = data.draw(st.sampled_from([1, 3, 8, equidist._BLOCK]))
+    with mock.patch.object(equidist, "_BLOCK", block):
         got = random_geodesic_average(model, x, f, length, seed, start=start, inverse=inverse)
     path = sample_path(model, graph.initial if start is None else start, length, seed)
     values = np.array(
@@ -637,7 +644,7 @@ def test_batched_ray_equals_word_act_on_every_prefix(data):
         ],
         dtype=np.complex128,
     )
-    assert repr(got) == repr(equidist._block_sum(values) / length)
+    assert repr(got) == repr(_block_sum(values, block) / length)
 
 
 # sha256 of repr of exact results with a 16-term function on free2 (seven
@@ -704,7 +711,7 @@ def test_character_sums_equal_the_unfused_block_sum(data):
     k = data.draw(st.tuples(*[st.integers(-(2**70), 2**70)] * dim))
     with mock.patch.object(equidist, "_BLOCK", block):
         got = character_sums(tables, k)
-        want = [equidist._block_sum(equidist._character_values(arr, k)) for arr in tables]
+        want = [_block_sum(equidist._character_values(arr, k), block) for arr in tables]
     assert repr(got) == repr(want)
 
 
