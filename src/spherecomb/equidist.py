@@ -6,7 +6,11 @@ function; Cesaro, counting-weighted and Markov-weighted variants follow.
 All exact-mode enumeration shares one level-synchronous kernel that records
 the orbit coordinates per path length as unsigned 64-bit arrays, so a whole
 family of characters can be averaged from a single pass.  Rows, and so sums,
-are in path-lexicographic edge order.  Character sums are reduced block by
+are in path-lexicographic edge order.  The kernel keeps each level's nodes in
+groups by automaton vertex, carried to the next level as runs of child slots,
+and moves each node's state (the row w^-1.x, or the matrix w in forward
+mode) as one fixed-size item, so one out-edge of one vertex costs one matrix
+product over the whole group.  Character sums are reduced block by
 block: each block of rows is evaluated and summed pairwise on its own, with
 compensated accumulation across blocks, and a frequency that several terms
 of a test function share is summed once.  The distinct frequencies are
@@ -169,9 +173,19 @@ def orbit_tables(
 
     Returns one (count_n, d) uint64 array per length n = 0..n_max, rows in
     path-lexicographic edge order (paths ending at ``end`` only, if given).
-    The paths are enumerated level-synchronously: each level's frontier is
-    expanded parent by parent, out-edges in edge order, with every step an
-    exact matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
+    The paths are enumerated level-synchronously, with every step an exact
+    matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
+
+    A node's state is c rows of length d: the row (w^-1.x)^T in inverse mode
+    (c = 1), which edge e right-multiplies by A_e^T, or w itself in forward
+    mode (c = d), which it right-multiplies by A_e.  Each level's nodes are
+    held in groups by vertex, each group a list of runs of slots.  A group's
+    states are gathered as single items of 8*c*d bytes and, for each out-edge
+    in edge order, multiplied in one (G*c, d) @ (d, d) product and scattered
+    to the children's slots: the child of a node via its k-th out-edge sits
+    at the node's first child slot plus k, so the rows come out in
+    path-lexicographic order.  The children's slots via one edge form the
+    next level's run for that edge's head.
     """
     d = graph.system.dim
     x_col = _basepoint_column(x, d)
@@ -182,43 +196,53 @@ def orbit_tables(
     total_nodes = sum(counts_any[m][start] for m in range(n_max + 1))
     if total_nodes > budget:
         raise BudgetExceededError(total_nodes, budget)
-    # Per node the state is w^-1.x as a (d, 1) column, or in forward mode the
-    # transpose of w, which a child's edge action A_e updates as A_e^T . state.
     acts = _edge_actions(graph, inverse)
     if inverse:
-        state = x_col.reshape(1, d, 1)
+        acts = np.ascontiguousarray(acts.transpose(0, 2, 1))
+        state = x_col.reshape(1, d)
     else:
-        acts = acts.transpose(0, 2, 1)
-        state = np.eye(d, dtype=np.uint64).reshape(1, d, d)
+        state = np.eye(d, dtype=np.uint64)
+    c = state.shape[0]
+    item = np.dtype((np.void, 8 * c * d))
     out = graph.out_edges
-    dst = np.array([e.dst for e in graph.edges], dtype=np.intp)
-    degree = np.array([len(o) for o in out], dtype=np.intp)
-    verts = np.array([start], dtype=np.intp)
+    dst = [e.dst for e in graph.edges]
+    degree = [len(o) for o in out]
+    fan_dtype = np.min_scalar_type(max(degree))
 
-    def record(state, verts) -> np.ndarray:
+    rows = state.reshape(-1).view(item)
+    fan_out = np.array([degree[start]], dtype=fan_dtype)
+    groups: list[list[np.ndarray]] = [[] for _ in range(graph.n_vertices)]
+    groups[start].append(np.zeros(1, dtype=np.intp))
+
+    def record(rows, groups) -> np.ndarray:
         if end is not None:
-            state = state[verts == end]
-        return state.reshape(-1, d) if inverse else state.transpose(0, 2, 1) @ x_col
+            runs = groups[end]
+            rows = rows[np.sort(np.concatenate(runs))] if runs else rows[:0]
+        table = rows.view(np.uint64).reshape(-1, d)
+        return table if inverse else (table @ x_col).reshape(-1, d)
 
-    tables = [record(state, verts)]
+    tables = [record(rows, groups)]
     for _ in range(n_max):
-        # child slot of parent p via its k-th out-edge: first[p] + k
-        fan_out = degree[verts]
-        first = np.cumsum(fan_out) - fan_out
-        by_vertex = np.argsort(verts, kind="stable")
-        bounds = np.cumsum(np.bincount(verts, minlength=graph.n_vertices))
-        children = np.empty((int(fan_out.sum()),) + state.shape[1:], dtype=np.uint64)
-        child_verts = np.empty(len(children), dtype=np.intp)
-        for v, group in enumerate(np.split(by_vertex, bounds[:-1])):
-            if group.size == 0:
+        # child slot of a node via its k-th out-edge: first[node] + k
+        first = np.zeros(len(fan_out) + 1, dtype=np.intp)
+        np.cumsum(fan_out, out=first[1:])
+        size = int(first[-1])
+        children = np.empty(size, dtype=item)
+        child_fan_out = np.empty(size, dtype=fan_dtype)
+        child_groups: list[list[np.ndarray]] = [[] for _ in range(graph.n_vertices)]
+        for v, runs in enumerate(groups):
+            if not runs or not out[v]:
                 continue
-            parents = state[group]
+            group = runs[0] if len(runs) == 1 else np.concatenate(runs)
+            parents = rows[group].view(np.uint64).reshape(-1, d)
             slots = first[group]
             for k, ei in enumerate(out[v]):
-                children[slots + k] = acts[ei] @ parents
-                child_verts[slots + k] = dst[ei]
-        state, verts = children, child_verts
-        tables.append(record(state, verts))
+                at = slots + k
+                children[at] = (parents @ acts[ei]).reshape(-1).view(item)
+                child_fan_out[at] = degree[dst[ei]]
+                child_groups[dst[ei]].append(at)
+        rows, fan_out, groups = children, child_fan_out, child_groups
+        tables.append(record(rows, groups))
     return tables
 
 

@@ -218,19 +218,21 @@ def a_infinity(a: np.ndarray, p_star: int, lam: float) -> np.ndarray:
 
     Iterates B <- B @ B0 with B0 = (A / lambda)^p* until successive iterates
     differ by less than ``_A_INF_TOL`` in max norm, for at most
-    ``_A_INF_MAX_ITER`` steps.
+    ``_A_INF_MAX_ITER`` steps.  The iterates live in two buffers: each step
+    writes B @ B0 into one and |B - B @ B0| over the old B in the other.
     """
     a = _check_matrix(a)
     if lam <= 0:
         raise NilpotentMatrixError("leading eigenvalue is zero; A^n/lambda^n is undefined")
     b0 = np.linalg.matrix_power(a.astype(float) / lam, p_star)
-    b = b0.copy()
+    b, step = b0.copy(), np.empty_like(b0)
     for _ in range(_A_INF_MAX_ITER):
-        nxt = b @ b0
-        if float(np.max(np.abs(nxt - b))) < _A_INF_TOL:
-            b = nxt
+        np.matmul(b, b0, out=step)
+        np.subtract(b, step, out=b)
+        np.abs(b, out=b)
+        b, step = step, b
+        if float(step.max()) < _A_INF_TOL:
             break
-        b = nxt
     else:
         raise SpherecombError(f"A_inf iteration did not converge within {_A_INF_MAX_ITER} steps")
     return np.where(b < 0, 0.0, b)

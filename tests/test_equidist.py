@@ -17,10 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherecomb import (
+    Edge,
+    GeneratorSystem,
+    GraphStructure,
     TestFunction,
     TorusPoint,
     build_markov,
@@ -178,21 +181,130 @@ def test_orbit_tables_match_pinned_digests(free2_graph, x2):
         assert h.hexdigest() == digest, kwargs
 
 
+def _vertex_grouped_tables(graph, x, n_max, start, end, inverse):
+    """The orbit kernel that grouped each level's nodes by vertex with a stable
+    argsort: per node a (d, 1) column w^-1.x, or in forward mode w^T, which a
+    child's edge action A_e updates as A_e^T . state."""
+    d = graph.system.dim
+    x_col = np.array(x.coords, dtype=np.uint64)
+    acts = equidist._edge_actions(graph, inverse)
+    if inverse:
+        state = x_col.reshape(1, d, 1)
+    else:
+        acts = acts.transpose(0, 2, 1)
+        state = np.eye(d, dtype=np.uint64).reshape(1, d, d)
+    out = graph.out_edges
+    dst = np.array([e.dst for e in graph.edges], dtype=np.intp)
+    degree = np.array([len(o) for o in out], dtype=np.intp)
+    verts = np.array([start], dtype=np.intp)
+
+    def record(state, verts):
+        if end is not None:
+            state = state[verts == end]
+        return state.reshape(-1, d) if inverse else state.transpose(0, 2, 1) @ x_col
+
+    tables = [record(state, verts)]
+    for _ in range(n_max):
+        fan_out = degree[verts]
+        first = np.cumsum(fan_out) - fan_out
+        by_vertex = np.argsort(verts, kind="stable")
+        bounds = np.cumsum(np.bincount(verts, minlength=graph.n_vertices))
+        children = np.empty((int(fan_out.sum()),) + state.shape[1:], dtype=np.uint64)
+        child_verts = np.empty(len(children), dtype=np.intp)
+        for v, group in enumerate(np.split(by_vertex, bounds[:-1])):
+            if group.size == 0:
+                continue
+            parents = state[group]
+            slots = first[group]
+            for k, ei in enumerate(out[v]):
+                children[slots + k] = acts[ei] @ parents
+                child_verts[slots + k] = dst[ei]
+        state, verts = children, child_verts
+        tables.append(record(state, verts))
+    return tables
+
+
+# generator systems of dimension 1, 2 and 3; -I in SL2(Z) is an involution
+_SYSTEMS = (
+    GeneratorSystem.from_pairs([("a", "A", ((1,),))]),
+    GeneratorSystem.from_pairs(
+        [("a", "A", ((1, 2), (0, 1))), ("b", "B", ((1, 0), (2, 1))), ("t", "t", ((-1, 0), (0, -1)))]
+    ),
+    GeneratorSystem.from_pairs(
+        [
+            ("a", "A", ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+            ("b", "B", ((1, 0, 0), (0, 1, 1), (0, 0, 1))),
+            ("c", "C", ((1, 0, 0), (0, 1, 0), (5, 0, 1))),
+        ]
+    ),
+)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_orbit_tables_on_random_graph_structures(data):
+    # any multigraph: dead ends, parallel edges, one- or two-letter words,
+    # and the two-letter labels of p_step; every start, end and mode
+    system = data.draw(st.sampled_from(_SYSTEMS))
+    n = data.draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    word = st.lists(st.sampled_from(system.labels), min_size=1, max_size=2).map(tuple)
+    edges = data.draw(st.lists(st.builds(Edge, vertex, vertex, word), max_size=9))
+    graph = GraphStructure(system, n, data.draw(vertex), tuple(edges))
+    if data.draw(st.booleans()):
+        graph = p_step(graph, 2)
+    n_max = data.draw(st.integers(0, 5))
+    assume(sum(sum(count_paths(graph, v, m) for v in range(n)) for m in range(n_max + 1)) <= 1500)
+    x = TorusPoint(tuple(data.draw(st.integers(0, MASK)) for _ in range(system.dim)))
+    for start in range(n):
+        for inverse in (True, False):
+            paths = [list(enumerate_paths(graph, start, m)) for m in range(n_max + 1)]
+            points = [
+                [word_act(graph.path_word(p), x, system, inverse=inverse).coords for p in level]
+                for level in paths
+            ]
+            for end in (None, *range(n)):
+                got = orbit_tables(graph, x, n_max, start=start, end=end, inverse=inverse)
+                old = _vertex_grouped_tables(graph, x, n_max, start, end, inverse)
+                assert len(got) == n_max + 1
+                for m, (table, ref) in enumerate(zip(got, old)):
+                    want = [
+                        pt
+                        for p, pt in zip(paths[m], points[m])
+                        if end is None or graph.path_vertices(start, p)[-1] == end
+                    ]
+                    assert table.dtype == np.uint64
+                    assert table.shape == (len(want), system.dim)
+                    assert table.flags.c_contiguous
+                    assert [tuple(int(v) for v in row) for row in table] == want
+                    assert np.array_equal(table, ref)
+
+
 def test_orbit_tables_memory_is_bounded(free2):
-    # Peaks of the free2_sanov orbit with the kernel that groups each level's
-    # parents by vertex: 10.5 MiB inverse at n = 11 and 5.7 MiB forward at
-    # n = 10.  A kernel that gathers one action per child (acts[edges] @
-    # state[parents]) peaks near 22.8 and 10.8 MiB and fails.
-    for n, inverse, bound in ((11, True, 13.0), (10, False, 7.0)):
+    # Peaks of the free2_sanov orbit: 10.5 MiB inverse at n = 11, 5.7 MiB
+    # forward at n = 10 and 7.8 MiB end-filtered (start 1, end 2, the
+    # markov-cesaro path) at n = 11 with the kernel that sorted each level's
+    # parents by vertex; 9.6, 5.5 and 7.1 MiB with the one that carries the
+    # vertex groups between levels.  A kernel that gathers one action per
+    # child (acts[edges] @ state[parents]) peaks near 22.8 and 10.8 MiB on
+    # the first two and fails.
+    graph = free2.graph
+    cases = (
+        (11, {"inverse": True}, 13.0),
+        (10, {"inverse": False}, 7.0),
+        (11, {"start": 1, "end": 2}, 9.6),
+    )
+    for n, kwargs, bound in cases:
         gc.collect()
         tracemalloc.start()
         try:
-            tables = orbit_tables(free2.graph, free2.basepoint, n, inverse=inverse)
+            tables = orbit_tables(graph, free2.basepoint, n, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tables[n]) == 4 * 3 ** (n - 1)
-        assert peak <= bound * 2**20, (n, inverse, peak / 2**20)
+        start = kwargs.get("start", graph.initial)
+        assert len(tables[n]) == count_paths(graph, start, n, target=kwargs.get("end"))
+        assert peak <= bound * 2**20, (n, kwargs, peak / 2**20)
 
 
 def test_budget_exceeded(free2_graph, x2):

@@ -442,3 +442,38 @@ def test_a_infinity_direct_call(free2_data):
     a = free2_data.matrix
     b = a_infinity(a, 1, free2_data.lam)
     assert np.max(np.abs(b - free2_data.a_inf)) <= 1e-9
+
+
+def _a_infinity_fresh_arrays(a, p_star, lam):
+    """The a_infinity loop that made a fresh array for each iterate and difference."""
+    b0 = np.linalg.matrix_power(a.astype(float) / lam, p_star)
+    b = b0.copy()
+    for _ in range(spectral._A_INF_MAX_ITER):
+        nxt = b @ b0
+        if float(np.max(np.abs(nxt - b))) < spectral._A_INF_TOL:
+            b = nxt
+            break
+        b = nxt
+    else:
+        raise SpherecombError("did not converge")
+    return np.where(b < 0, 0.0, b)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(1, 150))
+def test_a_infinity_in_two_buffers_equals_the_fresh_array_loop(seed, p_star, k):
+    # every vertex is joined both ways to vertex 0, so the matrix is strongly
+    # connected: primitive with the loop at 0, of period 2 when bipartite
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, k + 1))
+    if p_star == 1:
+        a = rng.integers(0, 4, (k + m, k + m))
+        a[0, :], a[:, 0] = 1, 1
+    else:
+        b, c = rng.integers(0, 4, (k, m)), rng.integers(0, 4, (m, k))
+        b[0, :], b[:, 0], c[0, :], c[:, 0] = 1, 1, 1, 1
+        a = np.block([[np.zeros((k, k), np.int64), b], [c, np.zeros((m, m), np.int64)]])
+    cls = classify(a)
+    assert cls.p_star == p_star
+    got = a_infinity(a, p_star, cls.lam)
+    assert got.tobytes() == _a_infinity_fresh_arrays(a, p_star, cls.lam).tobytes()
