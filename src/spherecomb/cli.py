@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -467,7 +468,9 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: parsing does not change it."""
     parser = _Parser(
         prog="spherecomb",
         description="Sphere and path averages for matrix groups acting on the torus.",

@@ -13,9 +13,13 @@ mode) as one fixed-size item, so one out-edge of one vertex costs one matrix
 product over the whole group.  Character sums are reduced block by
 block: each block of rows is evaluated and summed pairwise on its own, with
 compensated accumulation across blocks, and a frequency that several terms
-of a test function share is summed once.  The distinct frequencies are
+of a test function share is summed once.  A block is evaluated for a chunk
+of up to ``_CHUNK`` distinct frequencies at once: one uint64 product gives
+all their exact phases, and ``exp`` runs in place on a preallocated buffer,
+so the Python work of a block is shared by the whole chunk.  The chunks are
 summed on a pool of threads sized from the CPUs the process may run on, and
-the terms are then combined in order, so no sum depends on the CPU count.
+the terms are then combined in order, so no sum depends on the CPU count or
+on the chunks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  They draw
@@ -23,7 +27,8 @@ their paths one at a time, then move the basepoint with the kernel's uint64
 edge actions on whole arrays: Monte Carlo advances every sample one edge
 position at a time, and a ray takes the prefix products of its edge actions
 by a doubling scan.  One helper evaluates the test function on an array of
-points, bit for bit as :meth:`TestFunction.evaluate` does on each point.
+points, each distinct frequency by the same phase-and-``exp`` step as the
+exact sums, bit for bit as :meth:`TestFunction.evaluate` does on each point.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ DEFAULT_BUDGET = 10**7
 
 _TWO_PI_OVER_SCALE = 2.0 * np.pi / SCALE
 _BLOCK = 4096  # rows (or ray steps) summed pairwise before the compensated sum across blocks
+_CHUNK = 8  # distinct frequencies evaluated together on each block of rows
 
 
 def _frequency_entry(v) -> int:
@@ -246,63 +252,106 @@ def orbit_tables(
     return tables
 
 
-def _character_values(pts: np.ndarray, k: Sequence[int]) -> np.ndarray:
-    """chi_k at each row of an (N, d) uint64 array: exact phases mod 2**64, then exp."""
-    phases = np.zeros(pts.shape[0], dtype=np.uint64)
-    for i, ki in enumerate(k):
-        phases += pts[:, i] * np.uint64(int(ki) & MASK)
-    return np.exp(1j * (phases.astype(np.float64) * _TWO_PI_OVER_SCALE))
+def _frequency_rows(freqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """The frequencies as an (F, d) uint64 array of their entries mod 2**64."""
+    rows = [[int(v) & MASK for v in k] for k in freqs]
+    return np.array(rows, dtype=np.uint64)
 
 
-def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
-    """Sum of chi_k over each table, phases computed exactly mod 2**64.
+def _characters(ks: np.ndarray, pts: np.ndarray, phases: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """chi_k at each row of pts for each row k of ks, written into z and returned.
 
-    Each table is evaluated and summed one block of ``_BLOCK`` rows at a
-    time, so the block's temporaries stay small; the block sums are pairwise
-    (numpy's) and are added by the compensated ``_across_blocks``.
+    ``ks`` is (F, d) and ``pts`` (n, d), both uint64; ``phases`` (F, n) uint64
+    and ``z`` (F, n) complex128 are overwritten.  The phases <k, x> are one
+    uint64 product, exact mod 2**64; z = exp(i * phase * 2 pi / 2**64) is then
+    formed in place, bit for bit as exp(1j * (phases.astype(float64) * 2 pi /
+    2**64)) is.
     """
+    np.matmul(ks, pts.T, out=phases)
+    z.real = 0.0
+    np.multiply(phases, _TWO_PI_OVER_SCALE, out=z.imag, casting="unsafe")
+    return np.exp(z, out=z)
+
+
+def _frequency_sums(tables: list[np.ndarray], ks: np.ndarray) -> list[list[complex]]:
+    """Sum of chi_k over each table for every row k of ks: one list of sums per frequency.
+
+    Each table is evaluated one block of ``_BLOCK`` rows at a time for all F
+    frequencies at once, in two (F, _BLOCK) buffers made once per call.  Each
+    row of a block is summed pairwise (numpy's), and a frequency's block sums
+    are added by the compensated ``_across_blocks``.
+    """
+    phases = np.empty((len(ks), _BLOCK), dtype=np.uint64)
+    z = np.empty((len(ks), _BLOCK), dtype=np.complex128)
+    sums: list[list[complex]] = [[] for _ in ks]
+    for arr in tables:
+        per_block = np.empty((len(ks), -(-arr.shape[0] // _BLOCK)), dtype=np.complex128)
+        for b, i in enumerate(range(0, arr.shape[0], _BLOCK)):
+            pts = arr[i : i + _BLOCK]
+            n = pts.shape[0]
+            per_block[:, b] = _characters(ks, pts, phases[:, :n], z[:, :n]).sum(axis=1)
+        for f_sums, block_sums in zip(sums, per_block.tolist()):
+            f_sums.append(_across_blocks(block_sums))
+    return sums
+
+
+def _check_frequency(tables: list[np.ndarray], k: Sequence[int]) -> None:
     for arr in tables:
         if len(k) != arr.shape[1]:
             raise DimensionMismatchError(
                 f"frequency has {len(k)} entries, torus has dimension {arr.shape[1]}"
             )
-    return [
-        _across_blocks(
-            [
-                complex(_character_values(arr[i : i + _BLOCK], k).sum())
-                for i in range(0, arr.shape[0], _BLOCK)
-            ]
-        )
-        for arr in tables
-    ]
+
+
+def character_sums(tables: list[np.ndarray], k: Sequence[int]) -> list[complex]:
+    """Sum of chi_k over each table, phases computed exactly mod 2**64.
+
+    This is the one-frequency call of the kernel that :func:`_function_sums`
+    runs on chunks of frequencies: each table is evaluated and summed one
+    block of ``_BLOCK`` rows at a time, so the block's temporaries stay small;
+    the block sums are pairwise (numpy's) and are added by the compensated
+    ``_across_blocks``.
+    """
+    _check_frequency(tables, k)
+    return _frequency_sums(tables, _frequency_rows([k]))[0]
 
 
 def _function_sums(tables: list[np.ndarray], f: TestFunction) -> list[complex]:
     """Sum of f over each table: per-character sums combined by coefficients.
 
     A frequency that occurs in several terms is summed once.  The distinct
-    frequencies are summed on a pool of threads, one per usable CPU but no
-    more than there are frequencies (numpy releases the GIL in a block's
-    phase arithmetic, ``exp`` and sum); with one worker no pool is made.  The
+    frequencies are summed in chunks of up to ``_CHUNK``, each block of rows
+    evaluated for the whole chunk at once, on a pool of threads: one per
+    usable CPU but no more than there are frequencies, with chunks small
+    enough that every worker gets one (numpy releases the GIL in a block's
+    phase product, ``exp`` and sums); with one worker no pool is made.  The
     terms are then added in order, so the sums do not depend on the CPU
-    count, and an error is the one the first failing frequency raises.
+    count or the chunk size.  Every frequency is checked against the tables
+    first, so an error is the one the first failing frequency raises.
     """
     freqs = list(dict.fromkeys(k for k, _ in f.terms))
+    for k in freqs:
+        _check_frequency(tables, k)
+    if not freqs:
+        return [0.0 + 0.0j] * len(tables)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = min(cpus, len(freqs))
-    sums_of = functools.partial(character_sums, tables)
+    size = min(_CHUNK, -(-len(freqs) // workers))
+    ks = _frequency_rows(freqs)
+    chunks = [ks[i : i + size] for i in range(0, len(freqs), size)]
+    sums_of = functools.partial(_frequency_sums, tables)
     if workers > 1:
         # imported here: at module level it adds about 8 ms to every cold start
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            sums = list(pool.map(sums_of, freqs))
+            chunk_sums = list(pool.map(sums_of, chunks))
     else:
-        sums = list(map(sums_of, freqs))
-    by_freq = dict(zip(freqs, sums))
+        chunk_sums = list(map(sums_of, chunks))
+    by_freq = dict(zip(freqs, (s for sums in chunk_sums for s in sums)))
     totals = [0.0 + 0.0j] * len(tables)
     for k, coeff in f.terms:
         totals = [t + coeff * s for t, s in zip(totals, by_freq[k])]
@@ -527,15 +576,22 @@ def _f_values(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     are added in order to a +0.0 start, and each c * e is written out in
     float64 as Python multiplies two complex numbers (numpy's complex128
     multiply may round differently).  A frequency that occurs in several
-    terms is evaluated once, and its values are kept only until its last term.
+    terms is evaluated once, by the character sums' ``_characters``, and its
+    values are kept only until its last term.
     """
     if f.dim is not None and f.dim != pts.shape[1]:
         raise DimensionMismatchError(f"frequency dim {f.dim} vs point dim {pts.shape[1]}")
-    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    n = pts.shape[0]
+    out = np.zeros(n, dtype=np.complex128)
+    phases = np.empty((1, n), dtype=np.uint64)
     last = {k: i for i, (k, _) in enumerate(f.terms)}
     kept: dict[tuple[int, ...], np.ndarray] = {}
     for i, (k, c) in enumerate(f.terms):
-        e = kept.pop(k) if k in kept else _character_values(pts, k)
+        if k in kept:
+            e = kept.pop(k)
+        else:
+            z = np.empty((1, n), dtype=np.complex128)
+            e = _characters(_frequency_rows([k]), pts, phases, z)[0]
         if last[k] > i:
             kept[k] = e
         out.real += c.real * e.real - c.imag * e.imag

@@ -11,11 +11,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from spherecomb import TestFunction, equidist, preset, spectral
+from spherecomb import TestFunction, cli, equidist, preset, spectral
 from spherecomb.cli import build_parser, main
 
 
@@ -498,6 +499,24 @@ def test_negative_value_after_its_flag_is_the_flags_value(capsys, flag, value):
     spaced = run_cli(capsys, *argv, flag, value)
     assert spaced == run_cli(capsys, *argv, f"{flag}={value}")
     assert spaced[0] == 0
+
+
+def test_main_builds_the_parser_once(capsys):
+    made = []
+    init = cli._Parser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    with mock.patch.object(cli._Parser, "__init__", recording_init):
+        first = run_cli(capsys, "spheres", "--n-max", "3")
+        assert run_cli(capsys, "spheres", "--n-max", "3") == first
+    assert first[0] == 0
+    # the root parser and one subparser per command, all on the first call
+    assert made.count("spherecomb") == 1
+    assert len(made) == 1 + len(cli._COMMANDS)
 
 
 def test_option_after_a_value_taking_option_is_not_its_value(capsys):

@@ -728,6 +728,18 @@ def test_batched_mc_equals_per_sample_oracle(data):
     assert got.samples == samples
 
 
+def _character_values(pts: np.ndarray, k) -> np.ndarray:
+    """chi_k at each row of an (N, d) uint64 array, one coordinate at a time.
+
+    The single-frequency evaluation that the block kernel's one uint64
+    product and in-place exp replaced, kept as its reference.
+    """
+    phases = np.zeros(pts.shape[0], dtype=np.uint64)
+    for i, ki in enumerate(k):
+        phases += pts[:, i] * np.uint64(int(ki) & MASK)
+    return np.exp(1j * (phases.astype(np.float64) * equidist._TWO_PI_OVER_SCALE))
+
+
 def _block_sum(vals: np.ndarray, block: int) -> complex:
     """Deterministic sum of a whole array: pairwise inside blocks, compensated across them."""
     return equidist._across_blocks(
@@ -790,9 +802,7 @@ def test_exact_averages_match_pinned_digests(free2_graph, free2_data, x2):
 def test_f_values_evaluate_each_distinct_frequency_once(free2_graph, free2_data, x2):
     f = _pinned_function(2, 16)
     assert len({k for k, _ in f.terms}) == 7
-    with mock.patch.object(
-        equidist, "_character_values", wraps=equidist._character_values
-    ) as spy:
+    with mock.patch.object(equidist, "_characters", wraps=equidist._characters) as spy:
         mc_spherical(free2_graph, free2_data, x2, f, 5, 300, 1)
     assert spy.call_count == 7
     # the values are still TestFunction.evaluate's, bit for bit
@@ -823,7 +833,7 @@ def test_character_sums_equal_the_unfused_block_sum(data):
     k = data.draw(st.tuples(*[st.integers(-(2**70), 2**70)] * dim))
     with mock.patch.object(equidist, "_BLOCK", block):
         got = character_sums(tables, k)
-        want = [_block_sum(equidist._character_values(arr, k), block) for arr in tables]
+        want = [_block_sum(_character_values(arr, k), block) for arr in tables]
     assert repr(got) == repr(want)
 
 
@@ -859,6 +869,66 @@ def test_function_sums_with_repeated_frequencies_equal_the_per_term_loop(data):
     workers = min(cpus, len({k for k, _ in f.terms}))
     assert pools == ([workers] if workers > 1 else [])
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_frequency_chunks_equal_the_single_frequency_block_sums(data):
+    # every frequency of a chunk summed block by block as if it were alone,
+    # and the totals the same whatever the chunks and the pool
+    block = data.draw(st.sampled_from([1, 3, 8, equidist._BLOCK]))
+    dim = data.draw(st.integers(1, 3))
+    tables = _uint64_tables(data, dim, block)
+    freqs = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-(2**70), 2**70)] * dim), min_size=1, max_size=20, unique=True
+        )
+    )
+    coeffs = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    f = TestFunction(tuple((k, data.draw(coeffs)) for k in freqs))
+    cpus = data.draw(st.sampled_from([1, 2, 3, 8]))
+    with mock.patch.object(equidist, "_BLOCK", block):
+        got = equidist._frequency_sums(tables, equidist._frequency_rows(freqs))
+        want = [[_block_sum(_character_values(arr, k), block) for arr in tables] for k in freqs]
+        assert repr(got) == repr(want)
+        totals = [0.0 + 0.0j] * len(tables)
+        for (_, coeff), sums in zip(f.terms, want):
+            totals = [t + coeff * s for t, s in zip(totals, sums)]
+        for chunk in (1, equidist._CHUNK, 64):
+            with _cpu_set(cpus), mock.patch.object(equidist, "_CHUNK", chunk):
+                assert repr(equidist._function_sums(tables, f)) == repr(totals), chunk
+
+
+def test_character_reduction_memory_is_bounded(free2):
+    # Peaks with the kernel that evaluates up to eight frequencies per block:
+    # 2.1 MiB for this 128-term function (104 distinct frequencies) at n = 10
+    # on two workers and 0.13 MiB for one character at n = 11; 0.65 and
+    # 0.19 MiB when each frequency was evaluated alone.
+    graph, x = free2.graph, free2.basepoint
+    rng = np.random.default_rng(5)
+    f = TestFunction(
+        tuple(
+            (tuple(int(v) for v in rng.integers(-8, 9, size=2)), complex(*rng.uniform(-1, 1, 2)))
+            for _ in range(128)
+        )
+    )
+    assert len({k for k, _ in f.terms}) > 2 * equidist._CHUNK  # a full chunk for each worker
+    cases = (
+        (10, lambda tables: equidist._function_sums(tables, f), 2.5),
+        (11, lambda tables: character_sums(tables, (2, -3)), 0.25),
+    )
+    for n, reduce, bound in cases:
+        tables = orbit_tables(graph, x, n)
+        gc.collect()
+        with _cpu_set(2):
+            tracemalloc.start()
+            try:
+                sums = reduce(tables)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(sums) == n + 1
+        assert peak <= bound * 2**20, (n, peak / 2**20)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])
