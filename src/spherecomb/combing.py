@@ -250,6 +250,8 @@ def _backward_counts(
     graph: GraphStructure, n_max: int, target: int | None = None
 ) -> list[list[int]]:
     """c[m][v] = exact number of length-m paths from v (ending at target, if given)."""
+    if n_max < 0:
+        raise ValueError("length must be nonnegative")
     nv = graph.n_vertices
     heads = [[graph.edges[i].dst for i in out] for out in graph.out_edges]
     if target is None:
@@ -271,8 +273,6 @@ def count_paths(
     ``source=None`` counts paths from every vertex (the Omega^n of the whole
     structure); ``target=None`` places no condition on the endpoint.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
     table = _backward_counts(graph, length, target)
     if source is None:
         return sum(table[length])

@@ -6,11 +6,13 @@ function; Cesaro, counting-weighted and Markov-weighted variants follow.
 All exact-mode enumeration shares one level-synchronous kernel that records
 the orbit coordinates per path length as unsigned 64-bit arrays, so a whole
 family of characters can be averaged from a single pass.  Rows, and so sums,
-are in path-lexicographic edge order.  The kernel keeps each level's nodes in
-groups by automaton vertex, carried to the next level as runs of child slots,
-and moves each node's state (the row w^-1.x, or the matrix w in forward
-mode) as one fixed-size item, so one out-edge of one vertex costs one matrix
-product over the whole group.  Character sums are reduced block by
+are in path-lexicographic edge order.  Every walk moves one state: a path's
+row (w^-1.x)^T, or the matrix w in forward mode, which an edge e
+right-multiplies by R_e from one edge-action table, in path order.  The
+kernel keeps each level's nodes in groups by automaton vertex, carried to the
+next level as runs of child slots, and moves each node's state as one
+fixed-size item, so one out-edge of one vertex costs one matrix product over
+the whole group.  Character sums are reduced block by
 block: each block of rows is evaluated and summed pairwise on its own, with
 compensated accumulation across blocks, and a frequency that several terms
 of a test function share is summed once.  A block is evaluated for a chunk
@@ -23,10 +25,10 @@ on the chunks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  They draw
-their paths one at a time, then move the basepoint with the kernel's uint64
-edge actions on whole arrays: Monte Carlo advances every sample one edge
-position at a time, and a ray takes the prefix products of its edge actions
-by a doubling scan.  One helper evaluates the test function on an array of
+their paths one at a time, then right-multiply the same uint64 states on
+whole arrays: Monte Carlo advances every sample one edge position at a time,
+and a ray takes the prefix products of its R_e by a doubling scan.  One
+helper evaluates the test function on an array of
 points, each distinct frequency by the same phase-and-``exp`` step as the
 exact sums, bit for bit as :meth:`TestFunction.evaluate` does on each point.
 """
@@ -132,25 +134,35 @@ def _across_blocks(block_sums: list[complex]) -> complex:
 
 
 def _edge_actions(graph: GraphStructure, inverse: bool) -> np.ndarray:
-    """Per edge, the (d, d) matrix applied to the running state, as uint64 (mod 2**64).
+    """Per edge e, the (d, d) uint64 matrix R_e with state(w e) = state(w) R_e (mod 2**64).
 
-    The inverse of an edge word s_1 ... s_k is the word of inverse labels
-    s_k^-1 ... s_1^-1, which the generator system pairs, so no matrix is inverted.
+    R_e is the transpose of the matrix of e's inverse word s_k^-1 ... s_1^-1
+    (the generator system pairs the labels, so no matrix is inverted), or in
+    forward mode e's word matrix.
     """
     system = graph.system
     acts = []
     for e in graph.edges:
-        word = [system.inverse_of(s) for s in reversed(e.word)] if inverse else e.word
-        m = system.word_matrix(word)
-        acts.append(tuple(tuple(v & MASK for v in row) for row in m.rows))
+        if inverse:
+            rows = zip(*system.word_matrix([system.inverse_of(s) for s in reversed(e.word)]).rows)
+        else:
+            rows = system.word_matrix(e.word).rows
+        acts.append([[v & MASK for v in row] for row in rows])
     return np.array(acts, dtype=np.uint64).reshape(-1, system.dim, system.dim)
 
 
-def _basepoint_column(x: TorusPoint, d: int) -> np.ndarray:
-    """The basepoint's fixed-point coordinates as a uint64 vector, on a torus of dimension d."""
+def _walk_start(x: TorusPoint, d: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The basepoint as a uint64 vector, and the empty path's state: the row x^T, or I."""
     if x.dim != d:
         raise DimensionMismatchError(f"basepoint dim {x.dim} vs system dim {d}")
-    return np.array(x.coords, dtype=np.uint64)
+    x_col = np.array(x.coords, dtype=np.uint64)
+    return x_col, (x_col.reshape(1, d) if inverse else np.eye(d, dtype=np.uint64))
+
+
+def _points(states: np.ndarray, x_col: np.ndarray, inverse: bool) -> np.ndarray:
+    """The (N, d) orbit points of N path states, stacked in any shape: w^-1.x, or w.x."""
+    rows = states.reshape(-1, len(x_col))
+    return rows if inverse else (rows @ x_col).reshape(-1, len(x_col))
 
 
 def _check_length(n_max: int) -> None:
@@ -183,8 +195,8 @@ def orbit_tables(
     matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
 
     A node's state is c rows of length d: the row (w^-1.x)^T in inverse mode
-    (c = 1), which edge e right-multiplies by A_e^T, or w itself in forward
-    mode (c = d), which it right-multiplies by A_e.  Each level's nodes are
+    (c = 1), or w itself in forward mode (c = d); edge e right-multiplies it
+    by R_e from :func:`_edge_actions`.  Each level's nodes are
     held in groups by vertex, each group a list of runs of slots.  A group's
     states are gathered as single items of 8*c*d bytes and, for each out-edge
     in edge order, multiplied in one (G*c, d) @ (d, d) product and scattered
@@ -194,7 +206,7 @@ def orbit_tables(
     next level's run for that edge's head.
     """
     d = graph.system.dim
-    x_col = _basepoint_column(x, d)
+    x_col, state = _walk_start(x, d, inverse)
     if start is None:
         start = graph.initial
     _check_vertices(graph, start=start, end=end)
@@ -203,11 +215,6 @@ def orbit_tables(
     if total_nodes > budget:
         raise BudgetExceededError(total_nodes, budget)
     acts = _edge_actions(graph, inverse)
-    if inverse:
-        acts = np.ascontiguousarray(acts.transpose(0, 2, 1))
-        state = x_col.reshape(1, d)
-    else:
-        state = np.eye(d, dtype=np.uint64)
     c = state.shape[0]
     item = np.dtype((np.void, 8 * c * d))
     out = graph.out_edges
@@ -224,8 +231,7 @@ def orbit_tables(
         if end is not None:
             runs = groups[end]
             rows = rows[np.sort(np.concatenate(runs))] if runs else rows[:0]
-        table = rows.view(np.uint64).reshape(-1, d)
-        return table if inverse else (table @ x_col).reshape(-1, d)
+        return _points(rows.view(np.uint64), x_col, inverse)
 
     tables = [record(rows, groups)]
     for _ in range(n_max):
@@ -254,7 +260,7 @@ def orbit_tables(
 
 def _frequency_rows(freqs: Sequence[Sequence[int]]) -> np.ndarray:
     """The frequencies as an (F, d) uint64 array of their entries mod 2**64."""
-    rows = [[int(v) & MASK for v in k] for k in freqs]
+    rows = [[_frequency_entry(v) & MASK for v in k] for k in freqs]
     return np.array(rows, dtype=np.uint64)
 
 
@@ -623,23 +629,23 @@ def mc_spherical(
 
     For p* = 1 the sampling measure is exactly uniform counting measure, so
     this estimates the exact spherical average without bias.  The paths are
-    drawn one by one; then all samples advance together, one level (edge
-    position) at a time, as batched uint64 products.
+    drawn one by one; then all samples advance together, one edge position
+    at a time in path order, each state right-multiplied by its edge's R_e
+    as one batched uint64 product.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     d = graph.system.dim
-    x_col = _basepoint_column(x, d)
+    x_col, state = _walk_start(x, d, inverse)
     lp = markov_mod.lambda_prime(graph, data, n)
     rng = markov_mod._as_rng(seed)
     paths = np.array([lp.sample(rng) for _ in range(samples)], dtype=np.intp)
     paths = paths.reshape(samples, n)
     acts = _edge_actions(graph, inverse)
-    # w^-1.x applies the edges' inverses first to last; w.x applies them last to first
-    state = np.tile(x_col.reshape(1, d, 1), (samples, 1, 1))
-    for i in range(n) if inverse else reversed(range(n)):
-        state = acts[paths[:, i]] @ state
-    values = _f_values(f, state.reshape(samples, d))
+    states = np.tile(state, (samples, 1, 1))
+    for i in range(n):
+        states = states @ acts[paths[:, i]]
+    values = _f_values(f, _points(states, x_col, inverse))
     mean = complex(values.mean())
     if samples > 1:
         var = float(np.var(values.real, ddof=1) + np.var(values.imag, ddof=1))
@@ -699,37 +705,28 @@ def random_geodesic_average(
     """Time average (1/N) sum_{n=1..N} f(gamma(n)^-1 x) along one sampled ray.
 
     The ray is a Markov trajectory from the start vertex (the graph's initial
-    vertex by default).  The orbit points of all its prefixes come from the
-    prefix products of the edge actions, formed in uint64 by a doubling scan
-    (log2 of the block length in batched matrix products per block of steps)
-    instead of N scalar steps.
+    vertex by default).  The states of all its prefixes are the start state
+    times the prefix products R_1 ... R_m, formed in uint64 by a doubling scan
+    over each block of ``_BLOCK`` steps, summed on its own; the block's last
+    state carries into the next, so the working arrays stay small.
     """
     _check_length(n_max)
     graph = model.graph
     d = graph.system.dim
-    x_col = _basepoint_column(x, d)
+    x_col, carry = _walk_start(x, d, inverse)
     if start is None:
         start = graph.initial
     path = markov_mod.sample_path(model, start, n_max, seed)
-    # prefix m of w^-1.x is A_m ... A_1 x; of w.x it is W_1 ... W_m x, whose
-    # transpose is the same left-to-right product over the transposes W_i^T.
-    # Each block of steps is scanned and summed on its own, then carries on
-    # from the product so far, so the working arrays stay small on long rays.
     acts = _edge_actions(graph, inverse)
-    if not inverse:
-        acts = acts.transpose(0, 2, 1)
     edges = np.array(path.edges, dtype=np.intp)
-    carry = np.eye(d, dtype=np.uint64)
     block_sums = []
     for lo in range(0, n_max, _BLOCK):
         prods = acts[edges[lo : lo + _BLOCK]]
         shift = 1
         while shift < len(prods):
-            prods[shift:] = prods[shift:] @ prods[:-shift]
+            prods[shift:] = prods[:-shift] @ prods[shift:]
             shift *= 2
-        prods = prods @ carry
-        carry = prods[-1]
-        if not inverse:
-            prods = prods.transpose(0, 2, 1)
-        block_sums.append(complex(_f_values(f, prods @ x_col).sum()))
+        states = carry @ prods
+        carry = states[-1]
+        block_sums.append(complex(_f_values(f, _points(states, x_col, inverse)).sum()))
     return _across_blocks(block_sums) / n_max

@@ -12,7 +12,9 @@ vertices, and the same seed gives the same trajectory.
 Also here: the length-r prefix distribution harvested from A_inf, the
 prefix-then-uniform path measure it induces (an explicit approximation to
 uniform counting measure), and total variation distances between path
-distributions.
+distributions.  Every sampler draws one way: one ``bisect_right`` over cached
+running totals (``itertools.accumulate``) of edge probabilities, prefix
+masses, or the exact path counts of a uniform suffix's continuations.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,16 +55,9 @@ class MarkovModel:
 
     @cached_property
     def _cum_prob(self) -> tuple[tuple[float, ...], ...]:
-        g = self.graph
-        out = []
-        for v in range(g.n_vertices):
-            acc = 0.0
-            row = []
-            for ei in g.out_edges[v]:
-                acc += self.edge_prob[ei]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        """Per vertex, the running totals of its out-edges' probabilities."""
+        prob = self.edge_prob
+        return tuple(tuple(accumulate(prob[ei] for ei in out)) for out in self.graph.out_edges)
 
     def start_vertex(self, start: int | str, rng: np.random.Generator) -> int:
         if start == "stationary":
@@ -292,18 +288,18 @@ class PrefixDistribution:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {p: i for i, p in enumerate(self.paths)}
 
+    @cached_property
+    def _cum(self) -> tuple[float, ...]:
+        return tuple(accumulate(self.probs))
+
     def prob(self, path: tuple[int, ...]) -> float:
         i = self._index.get(path)
         return 0.0 if i is None else self.probs[i]
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        u = rng.random()
-        acc = 0.0
-        for path, pr in zip(self.paths, self.probs):
-            acc += pr
-            if u < acc:
-                return path
-        return self.paths[-1]
+        """The first prefix whose running total exceeds one uniform draw (the last if none does)."""
+        k = bisect_right(self._cum, rng.random())
+        return self.paths[min(k, len(self.paths) - 1)]
 
 
 def prefix_distribution(
@@ -329,33 +325,6 @@ def prefix_distribution(
     )
 
 
-def _uniform_suffix_sample(
-    graph: GraphStructure,
-    counts: list[list[int]],
-    start: int,
-    length: int,
-    rng: np.random.Generator,
-) -> tuple[int, ...]:
-    """Uniform draw from the length-n paths out of a vertex, by count weighting."""
-    total = counts[length][start]
-    if total == 0:
-        raise SpherecombError(f"no paths of length {length} from vertex {start}")
-    taken: list[int] = []
-    v = start
-    for rem in range(length, 0, -1):
-        t = int(rng.integers(counts[rem][v]))
-        for ei in graph.out_edges[v]:
-            w = counts[rem - 1][graph.edges[ei].dst]
-            if t < w:
-                taken.append(ei)
-                v = graph.edges[ei].dst
-                break
-            t -= w
-        else:
-            raise SpherecombError("count bookkeeping failed during uniform sampling")
-    return tuple(taken)
-
-
 @dataclass(frozen=True)
 class LambdaPrime:
     """Prefix-then-uniform measure on length-n paths from the start.
@@ -375,6 +344,15 @@ class LambdaPrime:
     def _counts(self) -> list[list[int]]:
         return _backward_counts(self.graph, self.n)
 
+    @cached_property
+    def _cum_counts(self) -> list[tuple[tuple[int, ...], ...]]:
+        """[rem][v]: running totals, over v's out-edges, of the rem-edge paths from each head."""
+        heads = [[self.graph.edges[ei].dst for ei in out] for out in self.graph.out_edges]
+        return [
+            tuple(tuple(accumulate(c[h] for h in hs)) for hs in heads)
+            for c in self._counts[: self.n - self.r]
+        ]
+
     def prob(self, path: tuple[int, ...]) -> float:
         """Mass of a path; 0.0 for a length other than n or a prefix of zero mass.
 
@@ -391,12 +369,20 @@ class LambdaPrime:
         return pre / self._counts[self.n - self.r][end]
 
     def sample(self, seed) -> tuple[int, ...]:
+        """A prefix, then a uniform suffix: per edge one ``rng.integers`` and one bisect."""
         rng = _as_rng(seed)
-        g0 = self.prefix.sample(rng)
-        end = self.graph.edges[g0[-1]].dst if g0 else self.graph.initial
-        return g0 + _uniform_suffix_sample(
-            self.graph, self._counts, end, self.n - self.r, rng
-        )
+        path = list(self.prefix.sample(rng))
+        edges = self.graph.edges
+        v = edges[path[-1]].dst if path else self.graph.initial
+        if self._counts[self.n - self.r][v] == 0:
+            raise SpherecombError(f"no paths of length {self.n - self.r} from vertex {v}")
+        out = self.graph.out_edges
+        for cum in reversed(self._cum_counts):
+            row = cum[v]
+            ei = out[v][bisect_right(row, int(rng.integers(row[-1])))]
+            path.append(ei)
+            v = edges[ei].dst
+        return tuple(path)
 
     def as_dict(self) -> dict[tuple[int, ...], float]:
         """Explicit path -> mass table (enumerates all length-n paths)."""

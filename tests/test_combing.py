@@ -546,6 +546,21 @@ def test_restrict_renumbers_and_keeps_edges(free2_graph):
     assert sphere_counts(sub, 3) == (1, 3, 9, 27)
 
 
+@pytest.mark.parametrize("length", [-1, -3])
+def test_negative_lengths_raise_in_every_path_count(free2_graph, sanov, length):
+    g = free2_graph
+    for count in (
+        lambda: sphere_counts(g, length),
+        lambda: count_paths(g, g.initial, length),
+        lambda: count_paths(g, None, length, target=1),
+        lambda: next(enumerate_paths(g, g.initial, length)),
+    ):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            count()
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        cayley_sphere_counts(sanov, length)
+
+
 def test_restrict_requires_surviving_initial(free2_graph):
     with pytest.raises(ValueError):
         restrict(free2_graph, [1, 2], new_initial=0)

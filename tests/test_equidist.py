@@ -181,13 +181,25 @@ def test_orbit_tables_match_pinned_digests(free2_graph, x2):
         assert h.hexdigest() == digest, kwargs
 
 
+def _word_matrices(graph, inverse):
+    """Per edge, its word matrix A_e, or the inverse A_e^-1, as uint64 (mod 2**64)."""
+    mats = []
+    for e in graph.edges:
+        m = graph.system.word_matrix(e.word)
+        m = m.inverse() if inverse else m
+        mats.append([[v & MASK for v in row] for row in m.rows])
+    return np.array(mats, dtype=np.uint64).reshape(-1, graph.system.dim, graph.system.dim)
+
+
 def _vertex_grouped_tables(graph, x, n_max, start, end, inverse):
     """The orbit kernel that grouped each level's nodes by vertex with a stable
-    argsort: per node a (d, 1) column w^-1.x, or in forward mode w^T, which a
-    child's edge action A_e updates as A_e^T . state."""
+    argsort: per node a (d, 1) column w^-1.x, which a child's edge updates as
+    A_e^-1 . state, or in forward mode w^T, updated as A_e^T . state.  The
+    matrices come from ``word_matrix`` and ``GroupMatrix.inverse``, not from
+    the package's edge actions."""
     d = graph.system.dim
     x_col = np.array(x.coords, dtype=np.uint64)
-    acts = equidist._edge_actions(graph, inverse)
+    acts = _word_matrices(graph, inverse)
     if inverse:
         state = x_col.reshape(1, d, 1)
     else:
@@ -317,19 +329,17 @@ def test_budget_exceeded(free2_graph, x2):
 
 @pytest.mark.parametrize("inverse", [True, False])
 def test_edge_actions_equal_the_word_matrices_or_their_inverses(inverse):
+    """R_e is the transpose of A_e^-1 in inverse mode and A_e in forward mode,
+    so a state right-multiplied by R_e moves as the word matrices say."""
     graphs = [preset(name).graph for name in preset_names()]
     graphs += [p_step(graphs[0], 2), p_step(preset("dinf_involutions").graph, 2)]
     assert all(len(e.word) == 2 for e in graphs[-1].edges)
     for graph in graphs:
-        system = graph.system
-        want = []
-        for e in graph.edges:
-            m = system.word_matrix(e.word)
-            m = m.inverse() if inverse else m
-            want.append([[v & MASK for v in row] for row in m.rows])
+        want = _word_matrices(graph, inverse)
         got = equidist._edge_actions(graph, inverse)
         assert got.dtype == np.uint64
-        assert np.array_equal(got, np.array(want, dtype=np.uint64))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want.transpose(0, 2, 1) if inverse else want)
 
 
 def test_kappa_budget_counts_the_nodes_of_every_start(free2_graph, free2_data, x2):
@@ -376,6 +386,21 @@ def test_character_sums_check_the_dimension_of_empty_tables(free2_graph, x2):
     with pytest.raises(DimensionMismatchError):
         character_sums(tables, (1,))
     assert character_sums(tables, (1, 2))[0] == 0.0 + 0.0j
+
+
+@pytest.mark.parametrize("entry", [1.5, True], ids=["float", "bool"])
+def test_character_sums_reject_non_integer_frequencies(free2_graph, x2, entry):
+    tables = orbit_tables(free2_graph, x2, 2)
+    with pytest.raises(ValueError, match=re.escape(f"frequency entry {entry!r} is not an integer")):
+        character_sums(tables, (entry, 0))
+    assert character_sums(tables, (1.0, 0)) == character_sums(tables, (1, 0))
+
+
+@pytest.mark.parametrize("n_max", [-1, -3])
+def test_orbit_tables_reject_a_negative_length(free2_graph, x2, n_max):
+    for inverse in (True, False):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            orbit_tables(free2_graph, x2, n_max, inverse=inverse)
 
 
 def test_spherical_average_trivial_character_is_exactly_one(free2_graph, x2):

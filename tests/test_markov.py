@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecomb import (
     Edge,
@@ -24,7 +26,9 @@ from spherecomb import (
     transition_matrix,
     tv_distance,
 )
+from spherecomb.combing import _backward_counts
 from spherecomb.errors import NormalizationError, SmallGrowthVertexError, SpherecombError
+from spherecomb.markov import LambdaPrime, PrefixDistribution
 from conftest import sanov_system
 
 
@@ -370,3 +374,126 @@ def test_lambda_prime_has_no_mass_off_length_n(name):
     stray = next(i for i, e in enumerate(graph.edges) if e.src != end)
     with pytest.raises(ValueError, match="does not continue the path"):
         lp.prob(path[:2] + (stray,))
+
+
+# ---------------------------------------------------------------------------
+# the samplers' bisects against the linear scans they replaced
+
+
+def _scan_cum_prob(model):
+    """The chain's running totals as the loop before ``itertools.accumulate`` formed them."""
+    out = []
+    for v in range(model.graph.n_vertices):
+        acc = 0.0
+        row = []
+        for ei in model.graph.out_edges[v]:
+            acc += model.edge_prob[ei]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _scan_prefix_sample(prefix, rng):
+    """A prefix by a linear scan of its masses: the first whose running total exceeds u."""
+    u = rng.random()
+    acc = 0.0
+    for path, pr in zip(prefix.paths, prefix.probs):
+        acc += pr
+        if u < acc:
+            return path
+    return prefix.paths[-1]
+
+
+def _uniform_suffix_sample(graph, counts, start, length, rng):
+    """Uniform draw from the length-n paths out of a vertex, by count weighting."""
+    total = counts[length][start]
+    if total == 0:
+        raise SpherecombError(f"no paths of length {length} from vertex {start}")
+    taken = []
+    v = start
+    for rem in range(length, 0, -1):
+        t = int(rng.integers(counts[rem][v]))
+        for ei in graph.out_edges[v]:
+            w = counts[rem - 1][graph.edges[ei].dst]
+            if t < w:
+                taken.append(ei)
+                v = graph.edges[ei].dst
+                break
+            t -= w
+        else:
+            raise AssertionError("count bookkeeping failed during uniform sampling")
+    return tuple(taken)
+
+
+def _scan_lambda_prime_sample(lp, rng):
+    g0 = _scan_prefix_sample(lp.prefix, rng)
+    end = lp.graph.edges[g0[-1]].dst if g0 else lp.graph.initial
+    counts = _backward_counts(lp.graph, lp.n)
+    return g0 + _uniform_suffix_sample(lp.graph, counts, end, lp.n - lp.r, rng)
+
+
+def _draws(sample, lp, seed, count):
+    """``count`` draws (or the error that stops them), then the generator's next uniform."""
+    rng = np.random.default_rng(seed)
+    out = []
+    try:
+        for _ in range(count):
+            out.append(sample(lp, rng))
+    except SpherecombError as exc:
+        out.append(str(exc))
+    return out, rng.random()
+
+
+@st.composite
+def _sampled_measures(draw):
+    """A LambdaPrime on a random multigraph, built directly from its parts.
+
+    The graphs have parallel edges, dead ends and edges into vertices with no
+    continuation of the length left; the prefix masses are arbitrary
+    nonnegative floats, zeros included, and need not sum to 1.
+    """
+    nv = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=12))
+    labels = draw(st.lists(st.sampled_from("aAbB"), min_size=len(pairs), max_size=len(pairs)))
+    edges = tuple(Edge(u, v, (s,)) for (u, v), s in zip(pairs, labels))
+    graph = GraphStructure(sanov_system(), nv, draw(st.integers(0, nv - 1)), edges)
+    n = draw(st.integers(0, 9))
+    r = draw(st.integers(0, min(n, 3)))
+    paths = tuple(enumerate_paths(graph, graph.initial, r))
+    if not paths:  # no prefix of length r: the empty prefix
+        r, paths = 0, ((),)
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(paths), max_size=len(paths)))
+    prefix = PrefixDistribution(r=r, paths=paths, probs=tuple(probs))
+    edge_prob = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=len(edges), max_size=len(edges))))
+    model = MarkovModel(
+        graph=graph, lam=1.0, p=(1.0,) * nv, q=(1.0,) * nv, pi=(1.0 / nv,) * nv, edge_prob=edge_prob
+    )
+    return LambdaPrime(graph=graph, n=n, r=r, prefix=prefix), model
+
+
+@settings(max_examples=200)
+@given(_sampled_measures(), st.integers(0, 2**32 - 1))
+def test_bisect_samplers_equal_the_linear_scans(case, seed):
+    lp, model = case
+    got = _draws(LambdaPrime.sample, lp, seed, 40)
+    assert got == _draws(_scan_lambda_prime_sample, lp, seed, 40)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [lp.prefix.sample(rng) for _ in range(40)] == [
+        _scan_prefix_sample(lp.prefix, ref) for _ in range(40)
+    ]
+    assert rng.random() == ref.random()
+    assert repr(model._cum_prob) == repr(_scan_cum_prob(model))
+
+
+@pytest.mark.parametrize("name", ["free2_sanov", "z_parabolic", "dinf_involutions"])
+def test_preset_samplers_equal_the_linear_scans(name):
+    graph = preset(name).graph
+    data = perron_data(transition_matrix(graph))
+    model = build_markov(graph, data)
+    assert repr(model._cum_prob) == repr(_scan_cum_prob(model))
+    for n in (1, 2, 5, 12):
+        lp = lambda_prime(graph, data, n)
+        assert lp.r == n % data.p_star
+        got = _draws(LambdaPrime.sample, lp, n, 1000)
+        assert got == _draws(_scan_lambda_prime_sample, lp, n, 1000)
+        assert len(got[0]) == 1000
