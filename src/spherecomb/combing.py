@@ -326,11 +326,6 @@ def enumerate_paths(
                 path.pop()
 
 
-def loop_paths(graph: GraphStructure, vertex: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Length-n paths from a vertex back to itself (elements of its loop semigroup)."""
-    return enumerate_paths(graph, vertex, length, target=vertex)
-
-
 # ---------------------------------------------------------------------------
 # restriction, p-step, pruning
 

@@ -3,22 +3,26 @@
 Spherical averages push a basepoint around by the inverses of all group
 elements of one length (enumerated as combing paths) and average a test
 function; Cesaro, counting-weighted and Markov-weighted variants follow.
-All exact-mode enumeration shares one level-synchronous kernel that records
-the orbit coordinates per path length as unsigned 64-bit arrays, so a whole
-family of characters can be averaged from a single pass.  Rows, and so sums,
-are in path-lexicographic edge order.  Every walk moves one state: a path's
-row (w^-1.x)^T, or the matrix w in forward mode, which an edge e
-right-multiplies by R_e from one edge-action table, in path order.  The
-kernel keeps each level's nodes in groups by automaton vertex, carried to the
-next level as runs of child slots, and moves each node's state as one
-fixed-size item, so one out-edge of one vertex costs one matrix product over
-the whole group.  Character sums are reduced block by
-block: each block of rows is evaluated and summed pairwise on its own, with
-compensated accumulation across blocks, and a frequency that several terms
-of a test function share is summed once.  A block is evaluated for a chunk
-of up to ``_CHUNK`` distinct frequencies at once: one uint64 product gives
-all their exact phases, and ``exp`` runs in place on a preallocated buffer,
-so the Python work of a block is shared by the whole chunk.  The chunks are
+All exact-mode enumeration shares one kernel that records the orbit
+coordinates per path length as unsigned 64-bit arrays, so a whole family of
+characters can be averaged from a single pass.  Rows, and so sums, are in
+path-lexicographic edge order.  Every walk moves one state: a path's row
+(w^-1.x)^T, or the matrix w in forward mode, which an edge e right-multiplies
+by R_e from one edge-action table, in path order.  The kernel splits a path
+as w = p s at half the depth.  It grows the prefixes p level by level, builds
+once, per automaton vertex, a table of the suffixes s that leave it (their
+matrices s^-1, or their points s.x in forward mode), and forms each level by
+one matrix product per vertex, of the states of the prefixes that end there
+with that vertex's table; each prefix's rows fill one contiguous range.  An
+end filter seeds the suffix tables at the end vertex only, and the counting
+average over all start vertices shares one set of suffix tables.  Character
+sums are reduced block by block: each block of rows is evaluated and summed
+pairwise on its own, with compensated accumulation across blocks, and a
+frequency that several terms of a test function share is summed once.  A
+block is evaluated for a chunk of up to ``_CHUNK`` distinct frequencies at
+once: one uint64 product gives all their exact phases, and ``exp`` runs in
+place on a preallocated buffer, so the Python work of a block is shared by
+the whole chunk.  The chunks are
 summed on a pool of threads sized from the CPUs the process may run on, and
 the terms are then combined in order, so no sum depends on the CPU count or
 on the chunks.
@@ -177,6 +181,76 @@ def _check_vertices(graph: GraphStructure, **vertices: int | None) -> None:
             raise ValueError(f"{name} vertex {v} out of range for {graph.n_vertices} vertices")
 
 
+def _spread(tables: list[np.ndarray], per: int, states: np.ndarray, verts: np.ndarray, groups):
+    """For each prefix p in order, tables[u] @ states[p] cut into items of ``per`` rows.
+
+    ``states`` is (P, d, c), ``verts`` gives each prefix's end vertex, and
+    ``groups`` pairs each vertex u that ends a prefix with those prefixes.
+    One matmul per vertex forms all its prefixes' products, and one scatter
+    of fixed-size items moves them into each prefix's contiguous range,
+    whose offset is the running sum of the earlier prefixes' counts.
+    """
+    widths = np.array([len(t) // per for t in tables], dtype=np.intp)
+    counts = widths[verts]
+    first = np.cumsum(counts) - counts
+    item = np.dtype((np.void, 8 * per * states.shape[2]))
+    out = np.empty(int(counts.sum()), dtype=item)
+    for u, group in groups:
+        if widths[u]:
+            at = (first[group, None] + np.arange(widths[u])).reshape(-1)
+            out[at] = np.matmul(tables[u], states[group]).reshape(-1).view(item)
+    return out.view(np.uint64)
+
+
+def _orbits(graph, x, n_max, starts, end, inverse, budget, split=None):
+    """The orbit tables of each start in turn (see :func:`orbit_tables`), from
+    one set of suffix tables; the prefixes end at length ``split``, by
+    default ceil(n_max / 2)."""
+    d, nv = graph.system.dim, graph.n_vertices
+    x_col, state = _walk_start(x, d, inverse)
+    counts = _backward_counts(graph, n_max)  # every node from every start, whatever the end
+    need = sum(counts[m][v] for v in starts for m in range(n_max + 1))
+    if need > budget:
+        raise BudgetExceededError(need, budget)
+    split = min(-(-n_max // 2) if split is None else split, n_max)
+    left = _edge_actions(graph, inverse).transpose(0, 2, 1)
+    dst = [e.dst for e in graph.edges]
+    seed = np.eye(d, dtype=np.uint64) if inverse else x_col.reshape(1, d)
+    per = d if inverse else 1
+    level = [seed if end in (None, u) else seed[:0] for u in range(nv)]
+    suffixes = [level]
+    for _ in range(n_max - split):
+        level = [
+            np.concatenate([level[dst[e]] @ left[e] for e in out] or [seed[:0]])
+            for out in graph.out_edges
+        ]
+        suffixes.append(level)
+    steps = [left[list(out)].reshape(-1, d) for out in graph.out_edges]
+    heads = np.full((nv, max(map(len, graph.out_edges))), -1, dtype=np.intp)
+    for u, out in enumerate(graph.out_edges):
+        heads[u, : len(out)] = [dst[e] for e in out]
+    c = state.shape[0]
+
+    def tables_from(start: int) -> list[np.ndarray]:
+        states = np.ascontiguousarray(state.T).reshape(1, d, c)
+        verts = np.array([start], dtype=np.intp)
+        tables = []
+        for m in range(n_max + 1):
+            if m <= split:
+                if m:
+                    states = _spread(steps, d, states, verts, groups).reshape(-1, d, c)
+                    verts = heads[verts]
+                    verts = verts[verts >= 0]
+                groups = [(u, g) for u in range(nv) if len(g := (verts == u).nonzero()[0])]
+                rows = np.matmul(seed, states if end is None else states[verts == end])
+            else:
+                rows = _spread(suffixes[m - split], per, states, verts, groups)
+            tables.append(rows.reshape(-1, d))
+        return tables
+
+    return map(tables_from, starts)
+
+
 def orbit_tables(
     graph: GraphStructure,
     x: TorusPoint,
@@ -191,71 +265,27 @@ def orbit_tables(
 
     Returns one (count_n, d) uint64 array per length n = 0..n_max, rows in
     path-lexicographic edge order (paths ending at ``end`` only, if given).
-    The paths are enumerated level-synchronously, with every step an exact
-    matrix product in uint64 wraparound arithmetic, i.e. mod 2**64.
+    Every step is an exact matrix product in uint64 wraparound arithmetic,
+    i.e. mod 2**64, so regrouping the products changes no point.
 
-    A node's state is c rows of length d: the row (w^-1.x)^T in inverse mode
-    (c = 1), or w itself in forward mode (c = d); edge e right-multiplies it
-    by R_e from :func:`_edge_actions`.  Each level's nodes are
-    held in groups by vertex, each group a list of runs of slots.  A group's
-    states are gathered as single items of 8*c*d bytes and, for each out-edge
-    in edge order, multiplied in one (G*c, d) @ (d, d) product and scattered
-    to the children's slots: the child of a node via its k-th out-edge sits
-    at the node's first child slot plus k, so the rows come out in
-    path-lexicographic order.  The children's slots via one edge form the
-    next level's run for that edge's head.
+    A path is split as w = p s, with the prefix p of length min(n, L) for
+    L = ceil(n_max / 2).  The kernel holds a path's state transposed: the
+    column w^-1.x, or the matrix w^T in forward mode, which an edge e
+    left-multiplies by R_e^T from :func:`_edge_actions`.  The prefixes are
+    grown one level at a time from ``start``.  Each suffix s from vertex u
+    has rows in u's table T[u]: the matrix s^-1, as (p s)^-1.x =
+    s^-1 (p^-1.x), or in forward mode the row (s.x)^T, as ((p s).x)^T =
+    (s.x)^T p^T.  So T_{m+1}[u] stacks T_m[dst e] R_e^T over u's out-edges e
+    in edge order, and T_0 is seeded at ``end`` only: a filtered-out path is
+    never built.  Path-lexicographic order is by prefix, then by suffix: the
+    rows of a prefix p that ends at u are T[u] @ state(p), one contiguous
+    range of the level, and one matmul per vertex forms them for all its
+    prefixes.
     """
-    d = graph.system.dim
-    x_col, state = _walk_start(x, d, inverse)
     if start is None:
         start = graph.initial
     _check_vertices(graph, start=start, end=end)
-    counts_any = _backward_counts(graph, n_max)
-    total_nodes = sum(counts_any[m][start] for m in range(n_max + 1))
-    if total_nodes > budget:
-        raise BudgetExceededError(total_nodes, budget)
-    acts = _edge_actions(graph, inverse)
-    c = state.shape[0]
-    item = np.dtype((np.void, 8 * c * d))
-    out = graph.out_edges
-    dst = [e.dst for e in graph.edges]
-    degree = [len(o) for o in out]
-    fan_dtype = np.min_scalar_type(max(degree))
-
-    rows = state.reshape(-1).view(item)
-    fan_out = np.array([degree[start]], dtype=fan_dtype)
-    groups: list[list[np.ndarray]] = [[] for _ in range(graph.n_vertices)]
-    groups[start].append(np.zeros(1, dtype=np.intp))
-
-    def record(rows, groups) -> np.ndarray:
-        if end is not None:
-            runs = groups[end]
-            rows = rows[np.sort(np.concatenate(runs))] if runs else rows[:0]
-        return _points(rows.view(np.uint64), x_col, inverse)
-
-    tables = [record(rows, groups)]
-    for _ in range(n_max):
-        # child slot of a node via its k-th out-edge: first[node] + k
-        first = np.zeros(len(fan_out) + 1, dtype=np.intp)
-        np.cumsum(fan_out, out=first[1:])
-        size = int(first[-1])
-        children = np.empty(size, dtype=item)
-        child_fan_out = np.empty(size, dtype=fan_dtype)
-        child_groups: list[list[np.ndarray]] = [[] for _ in range(graph.n_vertices)]
-        for v, runs in enumerate(groups):
-            if not runs or not out[v]:
-                continue
-            group = runs[0] if len(runs) == 1 else np.concatenate(runs)
-            parents = rows[group].view(np.uint64).reshape(-1, d)
-            slots = first[group]
-            for k, ei in enumerate(out[v]):
-                at = slots + k
-                children[at] = (parents @ acts[ei]).reshape(-1).view(item)
-                child_fan_out[at] = degree[dst[ei]]
-                child_groups[dst[ei]].append(at)
-        rows, fan_out, groups = children, child_fan_out, child_groups
-        tables.append(record(rows, groups))
-    return tables
+    return next(_orbits(graph, x, n_max, [start], end, inverse, budget))
 
 
 def _frequency_rows(freqs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -502,25 +532,20 @@ def kappa_average(
     ``start``/``end`` restrict which paths contribute to the numerator (the
     per-block average kappa^{i,j}).  The predicted limit in the primitive case
     is q_i p_j / c times the Haar integral; unrestricted it is the Haar
-    integral itself.
+    integral itself.  All starts share one set of suffix tables, and each
+    start's sums are added in turn, in vertex order; the budget bounds the
+    nodes of all their trees together.
     """
     _check_length(n_max)
     _check_vertices(graph, start=start, end=end)
     if data is None:
         data = spectral.perron_data(spectral.transition_matrix(graph))
-    starts = list(range(graph.n_vertices)) if start is None else [start]
-    counts_any = _backward_counts(graph, n_max)
-    omega = [sum(counts_any[m]) for m in range(n_max + 1)]
-    need = sum(counts_any[m][v] for v in starts for m in range(n_max + 1))
-    if need > budget:
-        raise BudgetExceededError(need, budget)
+    starts = range(graph.n_vertices) if start is None else [start]
     sums = [0.0 + 0.0j] * (n_max + 1)
-    for v in starts:
-        tables = orbit_tables(
-            graph, x, n_max, start=v, end=end, inverse=inverse, budget=budget
-        )
+    for tables in _orbits(graph, x, n_max, starts, end, inverse, budget):
         for m, s in enumerate(_function_sums(tables, f)):
             sums[m] += s
+    omega = [sum(counts) for counts in _backward_counts(graph, n_max)]
     acc = 0.0 + 0.0j
     for n in range(1, n_max + 1):
         if omega[n] == 0:

@@ -9,12 +9,12 @@ Both samplers run one step loop (``_edge_blocks``) over blocks of uniform
 draws: ``sample_path`` keeps the edges, ``sample_vertex_walk`` only the
 vertices, and the same seed gives the same trajectory.
 
-Also here: the length-r prefix distribution harvested from A_inf, the
+Also here: the length-r prefix distribution harvested from A_inf, and the
 prefix-then-uniform path measure it induces (an explicit approximation to
-uniform counting measure), and total variation distances between path
-distributions.  Every sampler draws one way: one ``bisect_right`` over cached
-running totals (``itertools.accumulate``) of edge probabilities, prefix
-masses, or the exact path counts of a uniform suffix's continuations.
+uniform counting measure) with its exact total variation distance to
+counting measure.  Every sampler draws one way: one ``bisect_right`` over
+cached running totals (``itertools.accumulate``) of edge probabilities,
+prefix masses, or the exact path counts of a uniform suffix's continuations.
 """
 
 from __future__ import annotations
@@ -23,17 +23,17 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import spectral
 from .combing import GraphStructure, _backward_counts, enumerate_paths
-from .errors import NormalizationError, SmallGrowthVertexError, SpherecombError
+from .errors import SmallGrowthVertexError, SpherecombError
 
 _ROW_SUM_TOL = 1e-12
-_TV_NORM_TOL = 1e-9
 _WALK_BLOCK = 1 << 12  # chain steps per block; keeps each block's list of draws small
+_MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -232,42 +232,6 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
     return ReturnTimeRecord(target=target, length=len(arr) - 1, returns=tuple(hits))
 
 
-@dataclass(frozen=True)
-class ExcursionDecomposition:
-    """Split of a trajectory at its visits to one vertex: prefix, loops, tail."""
-
-    target: int
-    prefix: tuple[int, ...]
-    loops: tuple[tuple[int, ...], ...]
-    tail: tuple[int, ...]
-
-    def recompose(self) -> tuple[int, ...]:
-        out = list(self.prefix)
-        for loop in self.loops:
-            out.extend(loop)
-        out.extend(self.tail)
-        return tuple(out)
-
-
-def excursion_decompose(path: SampledPath, target: int) -> ExcursionDecomposition:
-    """Cut a trajectory at every visit to the target vertex.
-
-    The prefix ends at the first visit (empty when the path starts there),
-    each loop is one excursion from the vertex back to itself, and the tail is
-    whatever follows the last visit.  Concatenation reproduces the edge
-    sequence exactly.  Raises ValueError when the vertex is never visited.
-    """
-    visits = [n for n, v in enumerate(path.vertices) if v == target]
-    if not visits:
-        raise ValueError(f"trajectory never visits vertex {target}")
-    prefix = path.edges[: visits[0]]
-    loops = tuple(
-        path.edges[a:b] for a, b in zip(visits, visits[1:])
-    )
-    tail = path.edges[visits[-1] :]
-    return ExcursionDecomposition(target=target, prefix=prefix, loops=loops, tail=tail)
-
-
 # ---------------------------------------------------------------------------
 # prefix distribution and the prefix-then-uniform path measure
 
@@ -369,13 +333,23 @@ class LambdaPrime:
         return pre / self._counts[self.n - self.r][end]
 
     def sample(self, seed) -> tuple[int, ...]:
-        """A prefix, then a uniform suffix: per edge one ``rng.integers`` and one bisect."""
+        """A prefix, then a uniform suffix: per edge one ``rng.integers`` and one bisect.
+
+        Raises ``SpherecombError`` before the suffix draws when the suffix
+        has more than 2**63 continuations, which ``rng.integers`` cannot draw.
+        """
         rng = _as_rng(seed)
         path = list(self.prefix.sample(rng))
         edges = self.graph.edges
         v = edges[path[-1]].dst if path else self.graph.initial
-        if self._counts[self.n - self.r][v] == 0:
+        total = self._counts[self.n - self.r][v]
+        if total == 0:
             raise SpherecombError(f"no paths of length {self.n - self.r} from vertex {v}")
+        if total > _MAX_DRAW:  # every later draw is bounded by this first one
+            raise SpherecombError(
+                f"length {self.n} is past the sampling limit: {total} paths of length "
+                f"{self.n - self.r} from vertex {v}, and a uniform draw takes at most 2**63"
+            )
         out = self.graph.out_edges
         for cum in reversed(self._cum_counts):
             row = cum[v]
@@ -383,13 +357,6 @@ class LambdaPrime:
             path.append(ei)
             v = edges[ei].dst
         return tuple(path)
-
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        """Explicit path -> mass table (enumerates all length-n paths)."""
-        out = {}
-        for path in enumerate_paths(self.graph, self.graph.initial, self.n):
-            out[path] = self.prob(path)
-        return out
 
     def tv_to_counting(self) -> float:
         """Exact tv distance to uniform counting measure on length-n paths.
@@ -420,27 +387,3 @@ def lambda_prime(graph: GraphStructure, data: spectral.SpectralData, n: int) -> 
     return LambdaPrime(
         graph=graph, n=n, r=r, prefix=prefix_distribution(graph, data, r)
     )
-
-
-def counting_distribution(graph: GraphStructure, n: int) -> dict[tuple[int, ...], float]:
-    """Uniform distribution on the length-n paths from the start vertex."""
-    paths = list(enumerate_paths(graph, graph.initial, n))
-    if not paths:
-        raise SpherecombError(f"no paths of length {n} from the start vertex")
-    mass = 1.0 / len(paths)
-    return {p: mass for p in paths}
-
-
-def tv_distance(
-    dist1: Mapping[object, float], dist2: Mapping[object, float]
-) -> float:
-    """Total variation distance, half the L1 difference over the union of supports.
-
-    Each distribution must sum to 1 within 1e-9.
-    """
-    for name, d in (("first", dist1), ("second", dist2)):
-        total = sum(d.values())
-        if abs(total - 1.0) > _TV_NORM_TOL:
-            raise NormalizationError(f"{name} distribution sums to {total!r}, not 1")
-    keys = set(dist1) | set(dist2)
-    return 0.5 * sum(abs(dist1.get(k, 0.0) - dist2.get(k, 0.0)) for k in keys)

@@ -92,18 +92,25 @@ def random_scc_matrix(rng: np.random.Generator, max_n: int = 12) -> np.ndarray:
     return a
 
 
-def dyadic_orbit_counts(graph, numerators, m: int, n_max: int, *, inverse: bool = True):
+def dyadic_orbit_counts(
+    graph, numerators, m: int, n_max: int, *, inverse: bool = True, start=None, per_vertex=False
+):
     """Orbit counts at the basepoint 2^-m * numerators, by transfer operator.
 
     Independent of the orbit kernel: no path is enumerated.  The orbit of a
     point of (2^-m Z)^d stays in that grid, so path counts per (vertex, grid
     point) follow a linear recursion, one ``np.add.at`` per edge and level.
-    Inverse mode counts paths from the initial vertex by their end vertex
-    (appending edge e maps w^-1 x to A_e^-1 w^-1 x); forward mode counts
-    paths by their start vertex (prepending e maps u x to A_e u x).  Returns,
-    for n = 0..n_max, the number of length-n paths from the initial vertex at
-    each grid point, flattened in C order of the numerators mod 2^m.
+    Inverse mode counts paths from ``start`` by their end vertex (appending
+    edge e maps w^-1 x to A_e^-1 w^-1 x); forward mode counts paths by their
+    start vertex (prepending e maps u x to A_e u x).  ``start`` defaults to
+    the initial vertex.  Returns, for n = 0..n_max, the number of length-n
+    paths from ``start`` at each grid point, flattened in C order of the
+    numerators mod 2^m; with ``per_vertex`` (inverse mode only) each level
+    is the (n_vertices, q^d) array of those counts by end vertex.
     """
+    if per_vertex and not inverse:
+        raise ValueError("per-vertex counts are by end vertex, in inverse mode")
+    start = graph.initial if start is None else start
     system, d, q = graph.system, graph.system.dim, 1 << m
     grid = np.indices((q,) * d).reshape(d, -1).T
     images = []
@@ -115,12 +122,15 @@ def dyadic_orbit_counts(graph, numerators, m: int, n_max: int, *, inverse: bool 
     counts = np.zeros((graph.n_vertices, q**d), dtype=np.int64)
     x = np.ravel_multi_index(tuple(v % q for v in numerators), (q,) * d)
     if inverse:
-        counts[graph.initial, x] = 1
+        counts[start, x] = 1
     else:
         counts[:, x] = 1
     levels = []
     for n in range(n_max + 1):
-        levels.append(counts.sum(axis=0) if inverse else counts[graph.initial].copy())
+        if inverse:
+            levels.append(counts.copy() if per_vertex else counts.sum(axis=0))
+        else:
+            levels.append(counts[start].copy())
         step = np.zeros_like(counts)
         for e, img in zip(graph.edges, images):
             src, dst = (e.src, e.dst) if inverse else (e.dst, e.src)

@@ -605,6 +605,17 @@ def test_bad_input_exits_2_with_error_line(tmp_path, capsys, argv):
     assert "\n" not in err.rstrip("\n")
 
 
+def test_monte_carlo_past_the_sampling_limit_is_one_error_line(capsys):
+    # free2_sanov has 4 * 3**39 > 2**63 paths of length 40 from its start
+    argv = ["equidist", "--preset", "free2_sanov", "--k", "1,0", "--n-max", "41"]
+    code, out, err = run_cli(capsys, *argv, "--mode", "mc", "--samples", "10", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: length 40 is past the sampling limit: {4 * 3**39} paths of length 40"
+        " from vertex 0, and a uniform draw takes at most 2**63\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, values, flags",
     [

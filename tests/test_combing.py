@@ -24,7 +24,6 @@ from spherecomb import (
     count_paths,
     enumerate_paths,
     load_automaton,
-    loop_paths,
     p_step,
     preset,
     preset_names,
@@ -579,8 +578,9 @@ def test_p_step_words_have_length_p(symbolic_graph):
 
 
 def test_loop_paths_start_and_end_at_vertex(free2_graph):
+    # the loop semigroup of a vertex: the paths from it that end at it
     g = free2_graph
-    for path in loop_paths(g, 1, 3):
+    for path in enumerate_paths(g, 1, 3, target=1):
         verts = g.path_vertices(1, path)
         assert verts[0] == 1 and verts[-1] == 1
 

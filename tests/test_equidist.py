@@ -236,6 +236,12 @@ def _vertex_grouped_tables(graph, x, n_max, start, end, inverse):
     return tables
 
 
+def _split_tables(graph, x, n_max, start, end, inverse, split):
+    """orbit_tables with its prefixes ending at length ``split`` in place of ceil(n_max / 2)."""
+    budget = equidist.DEFAULT_BUDGET
+    return next(equidist._orbits(graph, x, n_max, [start], end, inverse, budget, split))
+
+
 # generator systems of dimension 1, 2 and 3; -I in SL2(Z) is an involution
 _SYSTEMS = (
     GeneratorSystem.from_pairs([("a", "A", ((1,),))]),
@@ -290,21 +296,34 @@ def test_orbit_tables_on_random_graph_structures(data):
                     assert table.flags.c_contiguous
                     assert [tuple(int(v) for v in row) for row in table] == want
                     assert np.array_equal(table, ref)
+                # the same tables with the prefixes split off at any depth
+                for split in (0, 1, 3, n_max):
+                    tables = _split_tables(graph, x, n_max, start, end, inverse, split)
+                    assert len(tables) == n_max + 1
+                    for table, ref in zip(tables, got):
+                        assert table.dtype == np.uint64 and table.flags.c_contiguous
+                        assert table.shape == ref.shape and np.array_equal(table, ref)
 
 
 def test_orbit_tables_memory_is_bounded(free2):
     # Peaks of the free2_sanov orbit: 10.5 MiB inverse at n = 11, 5.7 MiB
     # forward at n = 10 and 7.8 MiB end-filtered (start 1, end 2, the
     # markov-cesaro path) at n = 11 with the kernel that sorted each level's
-    # parents by vertex; 9.6, 5.5 and 7.1 MiB with the one that carries the
-    # vertex groups between levels.  A kernel that gathers one action per
-    # child (acts[edges] @ state[parents]) peaks near 22.8 and 10.8 MiB on
-    # the first two and fails.
+    # parents by vertex; 9.6, 5.5 and 7.1 MiB with the one that carried the
+    # vertex groups between levels, and 86.5 MiB inverse at n = 13.  The
+    # split kernel peaks at 6.9, 2.3, 1.4 and 61.2 MiB: the returned tables
+    # (5.4, 1.8, 1.0 and 48.6 MiB) plus one vertex's products and their
+    # scatter index; its suffix tables are seeded at the end vertex only.
+    # A kernel that gathers one action per child (acts[edges] @
+    # state[parents]) peaks near 22.8 and 10.8 MiB on the first two and
+    # fails, and so does the split kernel with no prefixes in forward mode
+    # (9.0 MiB: every level's suffix points are kept).
     graph = free2.graph
     cases = (
         (11, {"inverse": True}, 13.0),
         (10, {"inverse": False}, 7.0),
         (11, {"start": 1, "end": 2}, 9.6),
+        (13, {"inverse": True}, 72.0),
     )
     for n, kwargs, bound in cases:
         gc.collect()
@@ -1025,3 +1044,79 @@ def test_orbits_at_dyadic_points_match_the_transfer_operator(data):
     for g, level in zip(got, counts):
         want = sum((c * complex(level @ chi[k]) for k, c in f.terms), 0j)
         assert abs(g - want) <= 1e-9 * scale * max(1, int(level.sum()))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_end_filtered_orbits_and_kappa_match_the_transfer_operator(data):
+    # per-vertex counts from every start vertex, none of them from the kernel
+    graph = preset(data.draw(st.sampled_from(preset_names()))).graph
+    d, nv = graph.system.dim, graph.n_vertices
+    m = data.draw(st.integers(1, min(6, 12 // d)))
+    q = 1 << m
+    nums = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    n_max = data.draw(st.integers(1, 9))
+    vertices = st.integers(0, nv - 1)
+    start, end = data.draw(vertices), data.draw(vertices)
+    x = TorusPoint.from_fractions([Fraction(a, q) for a in nums])
+    counts = [
+        dyadic_orbit_counts(graph, nums, m, n_max, start=v, per_vertex=True) for v in range(nv)
+    ]
+
+    shift = np.uint64(64 - m)
+    tables = orbit_tables(graph, x, n_max, start=start, end=end)
+    for table, level in zip(tables, counts[start]):
+        cells = np.ravel_multi_index(tuple((table >> shift).astype(np.intp).T), (q,) * d)
+        assert np.array_equal(np.bincount(cells, minlength=q**d), level[end])
+
+    k = data.draw(st.tuples(*[st.integers(-9, 9)] * d))
+    grid = np.indices((q,) * d).reshape(d, -1).T
+    chi = np.exp(2j * np.pi * (grid @ np.array([v % q for v in k]) % q) / q)
+    kappa_end = data.draw(st.none() | vertices)
+    per_start = []
+    function_sums = equidist._function_sums
+
+    def recorded(tables, f):
+        per_start.append(sums := function_sums(tables, f))
+        return sums
+
+    with mock.patch.object(equidist, "_function_sums", recorded):
+        res = kappa_average(graph, x, TestFunction.character(k), n_max, end=kappa_end)
+    assert len(per_start) == nv  # one start after the other
+    acc = 0.0 + 0.0j
+    omega = [sum(int(level.sum()) for level in levels) for levels in zip(*counts)]
+    for n in range(n_max + 1):
+        rows = [c[n].sum(axis=0) if kappa_end is None else c[n][kappa_end] for c in counts]
+        for got, row in zip((sums[n] for sums in per_start), rows):
+            assert abs(got - complex(row @ chi)) <= 1e-9 * max(1, int(row.sum()))
+        if n:
+            acc += sum(complex(row @ chi) for row in rows) / omega[n]
+    assert abs(res.value - acc / n_max) <= 1e-9
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_kappa_shared_suffix_pass_equals_per_start_orbit_tables(data):
+    # the sums of each start's own orbit_tables, added start by start
+    ps = preset(data.draw(st.sampled_from(preset_names())))
+    graph, d = ps.graph, ps.system.dim
+    vertices = st.integers(0, graph.n_vertices - 1)
+    start = data.draw(st.none() | vertices)
+    end = data.draw(st.none() | vertices)
+    inverse = data.draw(st.booleans())
+    n_max = data.draw(st.integers(1, 7))
+    x = TorusPoint(tuple(data.draw(st.integers(0, MASK)) for _ in range(d)))
+    freqs = st.tuples(*[st.integers(-9, 9)] * d)
+    coeffs = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    f = TestFunction(tuple(data.draw(st.lists(st.tuples(freqs, coeffs), min_size=1, max_size=4))))
+    res = kappa_average(graph, x, f, n_max, start=start, end=end, inverse=inverse)
+
+    sums = [0.0 + 0.0j] * (n_max + 1)
+    for v in range(graph.n_vertices) if start is None else [start]:
+        tables = orbit_tables(graph, x, n_max, start=v, end=end, inverse=inverse)
+        for m, s in enumerate(equidist._function_sums(tables, f)):
+            sums[m] += s
+    acc = 0.0 + 0.0j
+    for n in range(1, n_max + 1):
+        acc += sums[n] / sum(count_paths(graph, v, n) for v in range(graph.n_vertices))
+    assert repr(res.value) == repr(acc / n_max)

@@ -1,6 +1,8 @@
 """Markov chain weights, sampling, return times, prefix and tv machinery."""
 
+import copy
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,9 +14,7 @@ from spherecomb import (
     GraphStructure,
     MarkovModel,
     build_markov,
-    counting_distribution,
     enumerate_paths,
-    excursion_decompose,
     lambda_prime,
     path_weight,
     perron_data,
@@ -24,12 +24,58 @@ from spherecomb import (
     sample_path,
     sample_vertex_walk,
     transition_matrix,
-    tv_distance,
 )
 from spherecomb.combing import _backward_counts
 from spherecomb.errors import NormalizationError, SmallGrowthVertexError, SpherecombError
 from spherecomb.markov import LambdaPrime, PrefixDistribution
 from conftest import sanov_system
+
+
+# Oracles: plain enumerations that the package itself does not need.
+
+
+def counting_distribution(graph, n: int) -> dict:
+    """Uniform distribution on the length-n paths from the start vertex."""
+    paths = list(enumerate_paths(graph, graph.initial, n))
+    if not paths:
+        raise SpherecombError(f"no paths of length {n} from the start vertex")
+    return {p: 1.0 / len(paths) for p in paths}
+
+
+def tv_distance(dist1: dict, dist2: dict) -> float:
+    """Half the L1 difference over the union of supports; each must sum to 1 within 1e-9."""
+    for name, d in (("first", dist1), ("second", dist2)):
+        total = sum(d.values())
+        if abs(total - 1.0) > 1e-9:
+            raise NormalizationError(f"{name} distribution sums to {total!r}, not 1")
+    keys = set(dist1) | set(dist2)
+    return 0.5 * sum(abs(dist1.get(k, 0.0) - dist2.get(k, 0.0)) for k in keys)
+
+
+def lambda_prime_masses(lp: LambdaPrime) -> dict:
+    """Path -> mass under lp, for every length-n path from the start vertex."""
+    return {path: lp.prob(path) for path in enumerate_paths(lp.graph, lp.graph.initial, lp.n)}
+
+
+@dataclass(frozen=True)
+class ExcursionDecomposition:
+    """Split of a trajectory at its visits to one vertex: prefix, loops, tail."""
+
+    prefix: tuple
+    loops: tuple
+    tail: tuple
+
+    def recompose(self) -> tuple:
+        return self.prefix + sum(self.loops, ()) + self.tail
+
+
+def excursion_decompose(path, target: int) -> ExcursionDecomposition:
+    """Cut a trajectory's edges at every visit to the target; ValueError if it never visits."""
+    visits = [n for n, v in enumerate(path.vertices) if v == target]
+    if not visits:
+        raise ValueError(f"trajectory never visits vertex {target}")
+    loops = tuple(path.edges[a:b] for a, b in zip(visits, visits[1:]))
+    return ExcursionDecomposition(path.edges[: visits[0]], loops, path.edges[visits[-1] :])
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +257,7 @@ def test_prefix_distribution_dinf_pinned():
 
 def test_lambda_prime_is_probability_measure(free2_graph, free2_data):
     lp = lambda_prime(free2_graph, free2_data, 4)
-    masses = lp.as_dict()
+    masses = lambda_prime_masses(lp)
     assert abs(sum(masses.values()) - 1.0) <= 1e-12
     assert all(m >= 0 for m in masses.values())
 
@@ -229,7 +275,7 @@ def test_tv_dual_route(free2_graph, free2_data):
     for graph, d in ((free2_graph, free2_data), (ps.graph, data)):
         for n in (1, 2, 3, 5):
             lp = lambda_prime(graph, d, n)
-            brute = tv_distance(lp.as_dict(), counting_distribution(graph, n))
+            brute = tv_distance(lambda_prime_masses(lp), counting_distribution(graph, n))
             assert abs(lp.tv_to_counting() - brute) <= 1e-12
 
 
@@ -250,14 +296,14 @@ def test_period2_decay_graph_tv_profile():
     assert odd[-1] < 0.01
     for n in range(3, 14, 2):
         brute = tv_distance(
-            lambda_prime(g, data, n).as_dict(), counting_distribution(g, n)
+            lambda_prime_masses(lambda_prime(g, data, n)), counting_distribution(g, n)
         )
         assert abs(tvs[n] - brute) <= 1e-12
 
 
 def test_lambda_prime_sampling_matches_probabilities(free2_graph, free2_data):
     lp = lambda_prime(free2_graph, free2_data, 3)
-    masses = lp.as_dict()
+    masses = lambda_prime_masses(lp)
     rng = np.random.default_rng(33)
     hits = {}
     trials = 20_000
@@ -266,6 +312,22 @@ def test_lambda_prime_sampling_matches_probabilities(free2_graph, free2_data):
         hits[path] = hits.get(path, 0) + 1
     for path, m in masses.items():
         assert abs(hits.get(path, 0) / trials - m) <= 0.01
+
+
+def test_uniform_suffix_draws_stop_past_two_to_the_63():
+    # one vertex with two loops has 2**n paths of length n; rng.integers
+    # draws below 2**63 at most, and a longer length raises after the
+    # prefix draw, before any suffix draw
+    g = GraphStructure(sanov_system(), 1, 0, (Edge(0, 0, ("a",)), Edge(0, 0, ("b",))))
+    data = perron_data(transition_matrix(g))
+    rng = np.random.default_rng(5)
+    assert len(lambda_prime(g, data, 63).sample(rng)) == 63
+    twin = copy.deepcopy(rng)
+    message = f"^length 64 is past the sampling limit: {2**64} paths "
+    with pytest.raises(SpherecombError, match=message):
+        lambda_prime(g, data, 64).sample(rng)
+    twin.random()
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_tv_distance_basics():
@@ -367,7 +429,7 @@ def test_lambda_prime_has_no_mass_off_length_n(name):
     for length in (1, 2, 4, 5):
         for path in enumerate_paths(graph, graph.initial, length):
             assert lp.prob(path) == 0.0, path
-    assert abs(sum(lp.as_dict().values()) - 1.0) <= 1e-12
+    assert abs(sum(lambda_prime_masses(lp).values()) - 1.0) <= 1e-12
     # a length-3 path whose last edge leaves another vertex than the one reached
     path = next(enumerate_paths(graph, graph.initial, 3))
     end = graph.edges[path[1]].dst
