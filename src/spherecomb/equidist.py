@@ -214,21 +214,32 @@ def _orbits(graph, x, n_max, starts, end, inverse, budget, split=None):
         raise BudgetExceededError(need, budget)
     split = min(-(-n_max // 2) if split is None else split, n_max)
     left = _edge_actions(graph, inverse).transpose(0, 2, 1)
-    dst = [e.dst for e in graph.edges]
-    seed = np.eye(d, dtype=np.uint64) if inverse else x_col.reshape(1, d)
-    per = d if inverse else 1
-    level = [seed if end in (None, u) else seed[:0] for u in range(nv)]
+    src = np.array([e.src for e in graph.edges], dtype=np.intp)
+    dst = np.array([e.dst for e in graph.edges], dtype=np.intp)
+    # reach[j, v]: some start has a path of length j to v.  T_m[v] is built
+    # only if v is reached at a depth from split to n_max - m, so each of its
+    # suffixes ends a path that the budget counted.
+    reach = np.zeros((n_max + 1, nv), dtype=bool)
+    reach[0, starts] = True
+    for j in range(n_max):
+        reach[j + 1, dst[reach[j, src]]] = True
+    seed = _points(np.eye(d, dtype=np.uint64), x_col, inverse)  # T_0 @ state(p) = p's rows
+    used = reach[split:].any(axis=0)
+    level = [seed if used[u] and end in (None, u) else seed[:0] for u in range(nv)]
     suffixes = [level]
-    for _ in range(n_max - split):
+    for m in range(1, n_max - split + 1):
+        used = reach[split : n_max - m + 1].any(axis=0)
         level = [
             np.concatenate([level[dst[e]] @ left[e] for e in out] or [seed[:0]])
-            for out in graph.out_edges
+            if used[u]
+            else seed[:0]
+            for u, out in enumerate(graph.out_edges)
         ]
         suffixes.append(level)
     steps = [left[list(out)].reshape(-1, d) for out in graph.out_edges]
     heads = np.full((nv, max(map(len, graph.out_edges))), -1, dtype=np.intp)
     for u, out in enumerate(graph.out_edges):
-        heads[u, : len(out)] = [dst[e] for e in out]
+        heads[u, : len(out)] = dst[list(out)]
     c = state.shape[0]
 
     def tables_from(start: int) -> list[np.ndarray]:
@@ -242,9 +253,10 @@ def _orbits(graph, x, n_max, starts, end, inverse, budget, split=None):
                     verts = heads[verts]
                     verts = verts[verts >= 0]
                 groups = [(u, g) for u in range(nv) if len(g := (verts == u).nonzero()[0])]
-                rows = np.matmul(seed, states if end is None else states[verts == end])
+                kept = states if end is None else states[verts == end]
+                rows = _points(kept.swapaxes(1, 2), x_col, inverse)
             else:
-                rows = _spread(suffixes[m - split], per, states, verts, groups)
+                rows = _spread(suffixes[m - split], len(seed), states, verts, groups)
             tables.append(rows.reshape(-1, d))
         return tables
 
@@ -277,7 +289,9 @@ def orbit_tables(
     s^-1 (p^-1.x), or in forward mode the row (s.x)^T, as ((p s).x)^T =
     (s.x)^T p^T.  So T_{m+1}[u] stacks T_m[dst e] R_e^T over u's out-edges e
     in edge order, and T_0 is seeded at ``end`` only: a filtered-out path is
-    never built.  Path-lexicographic order is by prefix, then by suffix: the
+    never built.  T_m[u] is built only if ``start`` reaches u at a depth from
+    L to n_max - m, so every suffix ends a path that ``budget`` counts.
+    Path-lexicographic order is by prefix, then by suffix: the
     rows of a prefix p that ends at u are T[u] @ state(p), one contiguous
     range of the level, and one matmul per vertex forms them for all its
     prefixes.

@@ -346,6 +346,31 @@ def test_budget_exceeded(free2_graph, x2):
     assert exc.value.required > 1000
 
 
+def test_suffix_tables_stop_at_the_vertices_the_start_reaches():
+    # Vertex 0 has 2**m paths of length m; the dead-end start 1 never reaches
+    # it, so its orbit is one point and fits a budget of n + 1 nodes.  A
+    # kernel that built every vertex's suffix tables would make 2**20
+    # suffixes at n = 40 here (2**30, 8 GiB, at n = 60).
+    system = _SYSTEMS[0]
+    graph = GraphStructure(system, 2, 0, (Edge(0, 0, ("a",)), Edge(0, 0, ("A",))))
+    x = TorusPoint((12345,))
+    n = 40
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for inverse in (True, False):
+            tables = orbit_tables(graph, x, n, start=1, inverse=inverse, budget=n + 1)
+            assert [len(t) for t in tables] == [1] + [0] * n
+            assert tables[0].tolist() == [[12345]]
+        f = TestFunction.character((1,))
+        result = kappa_average(graph, x, f, n, start=1, budget=n + 1)
+        assert result.value == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("inverse", [True, False])
 def test_edge_actions_equal_the_word_matrices_or_their_inverses(inverse):
     """R_e is the transpose of A_e^-1 in inverse mode and A_e in forward mode,
