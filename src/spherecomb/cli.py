@@ -98,8 +98,10 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_report(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_report(path: str | None, config: dict, results: dict) -> None:
+    """``{"config": ..., "results": ...}`` as sorted, indented JSON, to path or stdout."""
+    report = {"config": config, "results": results}
+    _write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -214,32 +216,28 @@ def _cmd_analyze(cfg: dict) -> int:
         label = "semisimple"
     else:  # perron_data has raised unless A is almost semisimple
         label = "almost_semisimple"
-    report = {
-        "config": {**cfg, "command": "analyze"},
-        "results": {
-            "n_vertices": ps.graph.n_vertices,
-            "n_edges": len(ps.graph.edges),
-            "initial": ps.graph.initial,
-            "lam": data.lam,
-            "p_star": data.p_star,
-            "class": label,
-            "primitive": data.primitive,
-            "semisimple": data.semisimple,
-            "almost_semisimple": data.almost_semisimple,
-            "p": [float(v) for v in data.p],
-            "q": [float(v) for v in data.q],
-            "pi": [float(v) for v in data.pi],
-            "c": data.c,
-            "growth_constants": list(spectral.growth_constants(data)),
-            "components": [sorted(comp) for comp in cls.components],
-            "component_radii": list(cls.radii),
-            "component_periods": list(cls.periods),
-            "maximal_components": list(cls.maximal),
-            "large_growth_vertices": sorted(cls.large_growth),
-            "coreachable_vertices": sorted(cls.coreachable),
-        },
-    }
-    _write_text(cfg["output"], _json_report(report))
+    _write_report(cfg["output"], {**cfg, "command": "analyze"}, {
+        "n_vertices": ps.graph.n_vertices,
+        "n_edges": len(ps.graph.edges),
+        "initial": ps.graph.initial,
+        "lam": data.lam,
+        "p_star": data.p_star,
+        "class": label,
+        "primitive": data.primitive,
+        "semisimple": data.semisimple,
+        "almost_semisimple": data.almost_semisimple,
+        "p": [float(v) for v in data.p],
+        "q": [float(v) for v in data.q],
+        "pi": [float(v) for v in data.pi],
+        "c": data.c,
+        "growth_constants": list(spectral.growth_constants(data)),
+        "components": [sorted(comp) for comp in cls.components],
+        "component_radii": list(cls.radii),
+        "component_periods": list(cls.periods),
+        "maximal_components": list(cls.maximal),
+        "large_growth_vertices": sorted(cls.large_growth),
+        "coreachable_vertices": sorted(cls.coreachable),
+    })
     return 0
 
 
@@ -260,12 +258,12 @@ def _cmd_spheres(cfg: dict) -> int:
 
 def _cmd_equidist(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
-    n_max = _n_max(cfg)
+    n_max = cfg["n_max"]
     budget = cfg["budget"]
     inverse = not cfg["forward"]
     mode = cfg["mode"]
-    if mode == "auto":
-        mode = "exact" if sum(sphere_counts(ps.graph, n_max)) <= budget else "mc"
+    if mode == "auto":  # a length below 1 goes to the exact series, which rejects it
+        mode = "mc" if n_max > 0 and sum(sphere_counts(ps.graph, n_max)) > budget else "exact"
     if mode == "exact":
         rep = equidist.sphere_series(ps.graph, x, f, n_max, inverse=inverse, budget=budget)
     else:
@@ -275,18 +273,15 @@ def _cmd_equidist(cfg: dict) -> int:
         )
     errs = rep.stderr or [None] * n_max
     if cfg["json"]:
-        report = {
-            "config": _orbit_config(cfg, "equidist", f, mode=mode, **_ECHOED_WORKERS),
-            "results": {
-                "basepoint_fix64": list(x.coords),
-                "n": list(rep.ns),
-                "path_count": list(rep.path_counts),
-                "spherical": [[v.real, v.imag] for v in rep.spherical],
-                "cesaro": [[v.real, v.imag] for v in rep.cesaro],
-                "stderr": list(errs),
-            },
-        }
-        _write_text(cfg["output"], _json_report(report))
+        config = _orbit_config(cfg, "equidist", f, mode=mode, **_ECHOED_WORKERS)
+        _write_report(cfg["output"], config, {
+            "basepoint_fix64": list(x.coords),
+            "n": list(rep.ns),
+            "path_count": list(rep.path_counts),
+            "spherical": [[v.real, v.imag] for v in rep.spherical],
+            "cesaro": [[v.real, v.imag] for v in rep.cesaro],
+            "stderr": list(errs),
+        })
         return 0
     header = [
         "n", "path_count", "spherical_re", "spherical_im",
@@ -303,30 +298,25 @@ def _cmd_equidist(cfg: dict) -> int:
 
 def _weighted_report(cfg: dict, command: str, x, f, res, **extra) -> int:
     """The report of ``kappa`` and ``markov-cesaro``: a value and its predicted limit."""
-    report = {
-        "config": _orbit_config(cfg, command, f, **_ECHOED_WORKERS, **extra),
-        "results": {
-            "basepoint_fix64": list(x.coords),
-            "value": [res.value.real, res.value.imag],
-            "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
-        },
-    }
-    _write_text(cfg["output"], _json_report(report))
+    _write_report(cfg["output"], _orbit_config(cfg, command, f, **_ECHOED_WORKERS, **extra), {
+        "basepoint_fix64": list(x.coords),
+        "value": [res.value.real, res.value.imag],
+        "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
+    })
     return 0
 
 
 def _cmd_kappa(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     res = equidist.kappa_average(
-        ps.graph, x, f, cfg["n_max"],
-        data=_spectral_for(ps), start=cfg["start"], end=cfg["end"], budget=cfg["budget"],
+        ps.graph, x, f, cfg["n_max"], start=cfg["start"], end=cfg["end"], budget=cfg["budget"]
     )
     return _weighted_report(cfg, "kappa", x, f, res)
 
 
 def _cmd_markov_cesaro(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
-    model = markov.build_markov(ps.graph, _spectral_for(ps))
+    model = markov.build_markov(ps.graph)
     start = ps.graph.initial if cfg["start"] is None else cfg["start"]
     end = ps.graph.initial if cfg["end"] is None else cfg["end"]
     res = equidist.markov_cesaro(model, x, f, cfg["n_max"], start, end, budget=cfg["budget"])
@@ -346,20 +336,16 @@ def _cmd_tv(cfg: dict) -> int:
 
 def _cmd_sample_geodesic(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
-    model = markov.build_markov(ps.graph, _spectral_for(ps))
+    model = markov.build_markov(ps.graph)
     n = cfg["length"]
     value = equidist.random_geodesic_average(model, x, f, n, cfg["seed"])
     path = markov.sample_path(model, ps.graph.initial, min(n, 40), cfg["seed"])
-    report = {
-        "config": _orbit_config(cfg, "sample-geodesic", f),
-        "results": {
-            "basepoint_fix64": list(x.coords),
-            "ray_average": [value.real, value.imag],
-            "ray_average_abs": abs(value),
-            "word_prefix": "".join(path.word),
-        },
-    }
-    _write_text(cfg["output"], _json_report(report))
+    _write_report(cfg["output"], _orbit_config(cfg, "sample-geodesic", f), {
+        "basepoint_fix64": list(x.coords),
+        "ray_average": [value.real, value.imag],
+        "ray_average_abs": abs(value),
+        "word_prefix": "".join(path.word),
+    })
     return 0
 
 
@@ -372,16 +358,12 @@ def _cmd_build_combing(cfg: dict) -> int:
     if not rep.passed:
         raise SpherecombError(f"built automaton failed verification: {rep.witness}")
     save_automaton(graph, cfg["output"])
-    summary = {
-        "config": {**cfg, "command": "build-combing"},
-        "results": {
-            "n_vertices": graph.n_vertices,
-            "n_edges": len(graph.edges),
-            "sphere_counts": list(rep.automaton_counts),
-            "verified_to_radius": cfg["verify_radius"],
-        },
-    }
-    sys.stdout.write(_json_report(summary))
+    _write_report(None, {**cfg, "command": "build-combing"}, {  # the automaton went to --output
+        "n_vertices": graph.n_vertices,
+        "n_edges": len(graph.edges),
+        "sphere_counts": list(rep.automaton_counts),
+        "verified_to_radius": cfg["verify_radius"],
+    })
     return 0
 
 

@@ -63,8 +63,9 @@ class GraphStructure:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        if not 0 <= self.initial < self.n_vertices:
-            raise ValueError(f"initial vertex {self.initial} out of range")
+        if self.initial is None:  # check_vertex lets None pass; a graph needs a start
+            raise ValueError("graph needs a start vertex")
+        self.check_vertex(self.initial, "initial")
         known = set(self.system.labels)
         for i, e in enumerate(self.edges):
             if not (0 <= e.src < self.n_vertices and 0 <= e.dst < self.n_vertices):
@@ -76,6 +77,11 @@ class GraphStructure:
             for s in e.word:
                 if s not in known:
                     raise UnknownLabelError(f"edge {i} uses unknown label {s!r}")
+
+    def check_vertex(self, v: int | None, role: str) -> None:
+        """The range check of every vertex argument: None, or 0 .. n_vertices - 1."""
+        if v is not None and not 0 <= v < self.n_vertices:
+            raise ValueError(f"{role} vertex {v} out of range for {self.n_vertices} vertices")
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -273,6 +279,8 @@ def count_paths(
     ``source=None`` counts paths from every vertex (the Omega^n of the whole
     structure); ``target=None`` places no condition on the endpoint.
     """
+    graph.check_vertex(source, "source")
+    graph.check_vertex(target, "target")
     table = _backward_counts(graph, length, target)
     if source is None:
         return sum(table[length])
@@ -295,8 +303,8 @@ def enumerate_paths(
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if not 0 <= source < graph.n_vertices:
-        raise ValueError(f"source vertex {source} out of range")
+    graph.check_vertex(source, "source")
+    graph.check_vertex(target, "target")
     if length == 0:
         if target is None or source == target:
             yield ()
@@ -341,8 +349,7 @@ def restrict(
     if not kept:
         raise ValueError("restriction to an empty vertex set")
     for v in kept:
-        if not 0 <= v < graph.n_vertices:
-            raise ValueError(f"vertex {v} out of range")
+        graph.check_vertex(v, "kept")
     if new_initial is None:
         new_initial = graph.initial
     if new_initial not in kept:

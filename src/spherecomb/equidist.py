@@ -174,13 +174,6 @@ def _check_length(n_max: int) -> None:
         raise ValueError(f"N must be at least 1, not {n_max}")
 
 
-def _check_vertices(graph: GraphStructure, **vertices: int | None) -> None:
-    """Reject a start or end vertex outside 0 .. n_vertices - 1."""
-    for name, v in vertices.items():
-        if v is not None and not 0 <= v < graph.n_vertices:
-            raise ValueError(f"{name} vertex {v} out of range for {graph.n_vertices} vertices")
-
-
 def _spread(tables: list[np.ndarray], per: int, states: np.ndarray, verts: np.ndarray, groups):
     """For each prefix p in order, tables[u] @ states[p] cut into items of ``per`` rows.
 
@@ -298,7 +291,8 @@ def orbit_tables(
     """
     if start is None:
         start = graph.initial
-    _check_vertices(graph, start=start, end=end)
+    graph.check_vertex(start, "start")
+    graph.check_vertex(end, "end")
     return next(_orbits(graph, x, n_max, [start], end, inverse, budget))
 
 
@@ -474,7 +468,11 @@ def sphere_series(
 
 
 def _running_means(values: Sequence[complex]) -> tuple[complex, ...]:
-    """Cesaro means (1/n) sum_{m=1..n} values[m-1] for n = 1..len(values)."""
+    """Cesaro means (1/n) sum_{m=1..n} values[m-1] for n = 1..len(values).
+
+    Every Cesaro mean of the package is taken here, adding left to right from
+    0j: the builtin ``sum`` compensates float sums from Python 3.12 on.
+    """
     out = []
     acc = 0.0 + 0.0j
     for n, v in enumerate(values, start=1):
@@ -498,6 +496,7 @@ def spherical_average(
     summed in path-lexicographic edge order.
     """
     if n == 0:
+        _walk_start(x, graph.system.dim, inverse)
         return f.evaluate(x)
     report = sphere_series(graph, x, f, n, inverse=inverse, budget=budget)
     return report.spherical_at(n)
@@ -548,10 +547,12 @@ def kappa_average(
     is q_i p_j / c times the Haar integral; unrestricted it is the Haar
     integral itself.  All starts share one set of suffix tables, and each
     start's sums are added in turn, in vertex order; the budget bounds the
-    nodes of all their trees together.
+    nodes of all their trees together.  The mean over n is taken by
+    :func:`_running_means`.
     """
     _check_length(n_max)
-    _check_vertices(graph, start=start, end=end)
+    graph.check_vertex(start, "start")
+    graph.check_vertex(end, "end")
     if data is None:
         data = spectral.perron_data(spectral.transition_matrix(graph))
     starts = range(graph.n_vertices) if start is None else [start]
@@ -560,12 +561,9 @@ def kappa_average(
         for m, s in enumerate(_function_sums(tables, f)):
             sums[m] += s
     omega = [sum(counts) for counts in _backward_counts(graph, n_max)]
-    acc = 0.0 + 0.0j
-    for n in range(1, n_max + 1):
-        if omega[n] == 0:
-            raise SpherecombError(f"no paths of length {n} at all")
-        acc += sums[n] / omega[n]
-    value = acc / n_max
+    if 0 in omega:
+        raise SpherecombError(f"no paths of length {omega.index(0)} at all")
+    value = _running_means([sums[n] / omega[n] for n in range(1, n_max + 1)])[-1]
     if data.c is None:
         predicted = complex(float("nan"), float("nan"))
     else:
@@ -591,7 +589,8 @@ def markov_cesaro(
     """Markov-weighted Cesaro average over paths from one vertex to another.
 
     Each length-n path from i to j carries weight q_i p_j / lambda^n; the
-    predicted limit is pi_i pi_j times the Haar integral.
+    predicted limit is pi_i pi_j times the Haar integral.  The mean over n
+    is taken by :func:`_running_means`.
     """
     _check_length(n_max)
     graph = model.graph
@@ -600,10 +599,7 @@ def markov_cesaro(
     )
     sums = _function_sums(tables, f)
     weight = model.q[start] * model.p[end]
-    acc = 0.0 + 0.0j
-    for n in range(1, n_max + 1):
-        acc += weight / model.lam**n * sums[n]
-    value = acc / n_max
+    value = _running_means([weight / model.lam**n * sums[n] for n in range(1, n_max + 1)])[-1]
     predicted = (model.pi[start] * model.pi[end]) * f.haar
     return WeightedAverageResult(
         value=value, predicted_limit=predicted, n_max=n_max, start=start, end=end

@@ -51,7 +51,3 @@ class BudgetExceededError(SpherecombError):
             f"enumeration needs {required} nodes, budget is {budget}; "
             "switch to Monte Carlo mode or raise the budget"
         )
-
-
-class NormalizationError(SpherecombError, ValueError):
-    """A distribution does not sum to 1 within tolerance."""

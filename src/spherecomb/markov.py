@@ -63,8 +63,7 @@ class MarkovModel:
         if start == "stationary":
             return int(rng.choice(self.graph.n_vertices, p=np.array(self.pi)))
         v = int(start)
-        if not 0 <= v < self.graph.n_vertices:
-            raise ValueError(f"start vertex {v} out of range")
+        self.graph.check_vertex(v, "start")
         return v
 
 
@@ -128,6 +127,7 @@ def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = Non
 
     The empty path needs an explicit ``start``; its weight is pi_start.
     """
+    model.graph.check_vertex(start, "start")
     if len(path) == 0:
         if start is None:
             raise ValueError("empty path: pass the start vertex explicitly")

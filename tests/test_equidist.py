@@ -456,6 +456,12 @@ def test_spherical_average_trivial_character_is_exactly_one(free2_graph, x2):
 def test_spherical_average_at_zero_length(free2_graph, x2):
     f = TestFunction.character((1, 1))
     assert spherical_average(free2_graph, x2, f, 0) == f.evaluate(x2)
+    # a point of another torus is refused at every length, n = 0 included
+    x3 = TorusPoint.from_fractions([Fraction(1, 3)] * 3)
+    f3 = TestFunction.character((1, 1, 1))
+    for n in (0, 1):
+        with pytest.raises(DimensionMismatchError, match="^basepoint dim 3 vs system dim 2$"):
+            spherical_average(free2_graph, x3, f3, n)
 
 
 def test_spherical_average_is_linear(free2_graph, x2):
