@@ -102,6 +102,7 @@ class GraphStructure:
         return self.system.word_matrix(self.path_word(path))
 
     def path_vertices(self, start: int, path: Sequence[int]) -> tuple[int, ...]:
+        self.check_vertex(start, "start")
         verts = [start]
         for i in path:
             e = self.edges[i]

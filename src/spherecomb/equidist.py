@@ -28,13 +28,14 @@ the terms are then combined in order, so no sum depends on the CPU count or
 on the chunks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
-follow a single Markov ray; both are deterministic given a seed.  They draw
-their paths one at a time, then right-multiply the same uint64 states on
-whole arrays: Monte Carlo advances every sample one edge position at a time,
-and a ray takes the prefix products of its R_e by a doubling scan.  One
-helper evaluates the test function on an array of
-points, each distinct frequency by the same phase-and-``exp`` step as the
-exact sums, bit for bit as :meth:`TestFunction.evaluate` does on each point.
+follow a single Markov ray; both are deterministic given a seed.  Monte Carlo
+draws each level's paths by one ``LambdaPrime.sample_many`` call, a ray its
+edges by one ``sample_path`` call.  Both then right-multiply the same uint64
+states on whole arrays: Monte Carlo advances every sample one edge position
+at a time, and a ray takes the prefix products of its R_e by a doubling scan.
+One helper evaluates the test function on an array of points, each
+distinct frequency by the same phase-and-``exp`` step as the exact sums,
+bit for bit as :meth:`TestFunction.evaluate` does on each point.
 """
 
 from __future__ import annotations
@@ -664,9 +665,10 @@ def mc_spherical(
 
     For p* = 1 the sampling measure is exactly uniform counting measure, so
     this estimates the exact spherical average without bias.  The paths are
-    drawn one by one; then all samples advance together, one edge position
-    at a time in path order, each state right-multiplied by its edge's R_e
-    as one batched uint64 product.
+    drawn by one ``sample_many`` call (the paths of ``samples`` calls of
+    ``sample``); then all samples advance together, one edge position at a
+    time in path order, each state right-multiplied by its edge's R_e as one
+    batched uint64 product.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -674,7 +676,7 @@ def mc_spherical(
     x_col, state = _walk_start(x, d, inverse)
     lp = markov_mod.lambda_prime(graph, data, n)
     rng = markov_mod._as_rng(seed)
-    paths = np.array([lp.sample(rng) for _ in range(samples)], dtype=np.intp)
+    paths = np.array(lp.sample_many(rng, samples), dtype=np.intp)
     paths = paths.reshape(samples, n)
     acts = _edge_actions(graph, inverse)
     states = np.tile(state, (samples, 1, 1))

@@ -15,6 +15,10 @@ uniform counting measure) with its exact total variation distance to
 counting measure.  Every sampler draws one way: one ``bisect_right`` over
 cached running totals (``itertools.accumulate``) of edge probabilities,
 prefix masses, or the exact path counts of a uniform suffix's continuations.
+``LambdaPrime.sample_many`` draws a batch of such paths in one loop.  It runs
+numpy's reduction of bit-generator words to ``random()`` and ``integers``
+draws itself, on words read in blocks, so it gives the paths and leaves the
+generator state of one numpy call per draw.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .combing import GraphStructure, _backward_counts, enumerate_paths
 from .errors import SmallGrowthVertexError, SpherecombError
 
 _ROW_SUM_TOL = 1e-12
-_WALK_BLOCK = 1 << 12  # chain steps per block; keeps each block's list of draws small
+_WALK_BLOCK = 1 << 12  # chain steps, or suffix-draw words, per block; keeps each block small
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
 
 
@@ -261,8 +265,12 @@ class PrefixDistribution:
         return 0.0 if i is None else self.probs[i]
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """The first prefix whose running total exceeds one uniform draw (the last if none does)."""
-        k = bisect_right(self._cum, rng.random())
+        """The prefix that one uniform draw picks (see ``_path_at``)."""
+        return self._path_at(rng.random())
+
+    def _path_at(self, u: float) -> tuple[int, ...]:
+        """The first prefix whose running total exceeds u (the last if none does)."""
+        k = bisect_right(self._cum, u)
         return self.paths[min(k, len(self.paths) - 1)]
 
 
@@ -287,6 +295,131 @@ def prefix_distribution(
     return PrefixDistribution(
         r=r, paths=tuple(paths), probs=tuple(w / denom for w in weights)
     )
+
+
+class _Words:
+    """``Generator.random()`` and ``int(Generator.integers(total))``, one numpy call per word.
+
+    ``below`` runs numpy's reduction of bit-generator words to a bounded
+    integer (Lemire, "Fast random integer generation in an interval", ACM
+    TOMACS 2019) for 1 <= total <= 2**63.  Total 1 takes no word and 2**32
+    one raw 32-bit word.  Otherwise a 32-bit word (below 2**32) or a 64-bit
+    word (above) is multiplied by the total, drawn again while the low half
+    of the product is below (2**bits - total) % total, and the high half is
+    the draw.  Here each word is one numpy call, which works for every bit
+    generator; ``_BlockWords`` reads them in blocks.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def uniform(self) -> float:
+        return self._rng.random()
+
+    def _word32(self) -> int:
+        return int(self._rng.integers(0, 1 << 32, dtype=np.uint32))
+
+    def _word64(self) -> int:
+        return int(self._rng.integers(0, 1 << 64, dtype=np.uint64))
+
+    def below(self, total: int) -> int:
+        if total == 1:
+            return 0
+        if total == 1 << 32:
+            return self._word32()
+        if total < 1 << 32:
+            return self._reduce(self._word32() * total, total, 32)
+        return self._reduce(self._word64() * total, total, 64)
+
+    def _reduce(self, m: int, total: int, bits: int) -> int:
+        """The draw from m = word * total: the high part, once the low part is not rejected."""
+        low = (1 << bits) - 1
+        if m & low < total:  # a larger low part is never rejected
+            word = self._word32 if bits == 32 else self._word64
+            limit = ((1 << bits) - total) % total
+            while m & low < limit:
+                m = word() * total
+        return m >> bits
+
+    def close(self) -> None:
+        """Leave the generator where the per-call draws leave it: here it already is."""
+
+
+class _BlockWords(_Words):
+    """The same draws from blocks of 64-bit words read by ``bit_generator.random_raw``.
+
+    For the bit generators that buffer half a word (``has_uint32`` in their
+    state: PCG64, PCG64DXSM, SFC64, Philox).  Their ``random()`` is
+    (u64 >> 11) * 2**-53, and a 32-bit draw takes a word's low half and
+    buffers its high half for the next one.  ``close`` puts the generator
+    back at the state saved before the last block, advances it by the words
+    used from that block and writes the half-word buffer back, so it stands
+    where the per-call draws would have left it.
+    """
+
+    __slots__ = ("_bg", "_has", "_half", "_size", "_block", "_pos", "_saved")
+
+    def __init__(self, bg: np.random.BitGenerator, state: dict, size: int):
+        self._bg = bg
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+        self._size = size
+        self._block: list[int] = []
+        self._pos = 0
+        self._saved: dict | None = None
+
+    def _word64(self) -> int:
+        pos = self._pos
+        if pos == len(self._block):
+            self._saved = self._bg.state
+            self._block = self._bg.random_raw(self._size).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
+
+    def _word32(self) -> int:
+        if self._has:
+            self._has = 0
+            return self._half
+        w = self._word64()
+        self._has, self._half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def uniform(self) -> float:
+        return (self._word64() >> 11) * 2.0**-53
+
+    def below(self, total: int) -> int:
+        """``_Words.below``, with its hot case inline: a 32-bit word (``_word32``) not rejected."""
+        if not 1 < total < 1 << 32:
+            return super().below(total)
+        if self._has:
+            self._has = 0
+            m = self._half * total
+        else:
+            w = self._word64()
+            self._has, self._half = 1, w >> 32
+            m = (w & 0xFFFFFFFF) * total
+        if m & 0xFFFFFFFF >= total:
+            return m >> 32
+        return self._reduce(m, total, 32)
+
+    def close(self) -> None:
+        bg = self._bg
+        if self._saved is not None:
+            bg.state = self._saved
+            bg.random_raw(self._pos)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        bg.state = state
+
+
+def _words(rng: np.random.Generator, size: int) -> _Words:
+    """Words in blocks of ``size`` where the bit generator buffers half a word, else per call."""
+    state = rng.bit_generator.state
+    if "has_uint32" in state:
+        return _BlockWords(rng.bit_generator, state, size)
+    return _Words(rng)
 
 
 @dataclass(frozen=True)
@@ -333,30 +466,56 @@ class LambdaPrime:
         return pre / self._counts[self.n - self.r][end]
 
     def sample(self, seed) -> tuple[int, ...]:
-        """A prefix, then a uniform suffix: per edge one ``rng.integers`` and one bisect.
+        """One path, ``sample_many(seed, 1)[0]``: a prefix, then a uniform suffix."""
+        return self.sample_many(seed, 1)[0]
 
-        Raises ``SpherecombError`` before the suffix draws when the suffix
-        has more than 2**63 continuations, which ``rng.integers`` cannot draw.
+    def sample_many(self, seed, count: int) -> list[tuple[int, ...]]:
+        """``count`` paths drawn in turn, each a prefix and then a uniform suffix.
+
+        The prefix takes one ``rng.random()`` draw; each suffix edge takes one
+        ``rng.integers`` draw below its vertex's continuation count, and one
+        bisect.  The draws run numpy's own reduction on the bit generator's
+        words, read in blocks of at most _WALK_BLOCK where the bit generator
+        allows (``_words``).  So the paths, and the state a Generator passed
+        in is left in, are those of one numpy call per draw, also when a
+        sample raises.
+
+        Raises ``SpherecombError`` after a sample's prefix draw, before its
+        suffix draws, when the suffix has no continuation or more than 2**63
+        of them, which ``rng.integers`` cannot draw.
         """
+        if count < 0:
+            raise ValueError("sample count must be nonnegative")
         rng = _as_rng(seed)
-        path = list(self.prefix.sample(rng))
-        edges = self.graph.edges
-        v = edges[path[-1]].dst if path else self.graph.initial
-        total = self._counts[self.n - self.r][v]
-        if total == 0:
-            raise SpherecombError(f"no paths of length {self.n - self.r} from vertex {v}")
-        if total > _MAX_DRAW:  # every later draw is bounded by this first one
-            raise SpherecombError(
-                f"length {self.n} is past the sampling limit: {total} paths of length "
-                f"{self.n - self.r} from vertex {v}, and a uniform draw takes at most 2**63"
-            )
+        length = self.n - self.r
+        counts = self._counts[length]
+        cum_counts = self._cum_counts[::-1]
         out = self.graph.out_edges
-        for cum in reversed(self._cum_counts):
-            row = cum[v]
-            ei = out[v][bisect_right(row, int(rng.integers(row[-1])))]
-            path.append(ei)
-            v = edges[ei].dst
-        return tuple(path)
+        dst = [e.dst for e in self.graph.edges]
+        words = _words(rng, min(_WALK_BLOCK, count * (length + 1)))
+        below = words.below
+        paths = []
+        try:
+            for _ in range(count):
+                path = list(self.prefix._path_at(words.uniform()))
+                v = dst[path[-1]] if path else self.graph.initial
+                total = counts[v]
+                if total == 0:
+                    raise SpherecombError(f"no paths of length {length} from vertex {v}")
+                if total > _MAX_DRAW:  # every later draw is bounded by this first one
+                    raise SpherecombError(
+                        f"length {self.n} is past the sampling limit: {total} paths of length "
+                        f"{length} from vertex {v}, and a uniform draw takes at most 2**63"
+                    )
+                for cum in cum_counts:
+                    row = cum[v]
+                    ei = out[v][bisect_right(row, below(row[-1]))]
+                    path.append(ei)
+                    v = dst[ei]
+                paths.append(tuple(path))
+        finally:
+            words.close()
+        return paths
 
     def tv_to_counting(self) -> float:
         """Exact tv distance to uniform counting measure on length-n paths.

@@ -585,6 +585,15 @@ def test_loop_paths_start_and_end_at_vertex(free2_graph):
         assert verts[0] == 1 and verts[-1] == 1
 
 
+def test_path_vertices_range_checks_its_start(free2_graph):
+    g = free2_graph
+    assert g.path_vertices(3, ()) == (3,)
+    for v in (-1, g.n_vertices, 99):
+        message = f"^start vertex {v} out of range for {g.n_vertices} vertices$"
+        with pytest.raises(ValueError, match=message):
+            g.path_vertices(v, ())
+
+
 def test_components_and_prune_small_growth():
     g = small_growth_graph()
     large = classify(transition_matrix(g)).large_growth

@@ -27,7 +27,7 @@ from spherecomb import (
 )
 from spherecomb.combing import _backward_counts
 from spherecomb.errors import SmallGrowthVertexError, SpherecombError
-from spherecomb.markov import LambdaPrime, PrefixDistribution
+from spherecomb.markov import _WALK_BLOCK, LambdaPrime, PrefixDistribution, _words
 from conftest import sanov_system
 
 
@@ -559,3 +559,102 @@ def test_preset_samplers_equal_the_linear_scans(name):
         got = _draws(LambdaPrime.sample, lp, n, 1000)
         assert got == _draws(_scan_lambda_prime_sample, lp, n, 1000)
         assert len(got[0]) == 1000
+
+
+# ---------------------------------------------------------------------------
+# the batched draws against numpy's own per-call draws
+
+
+_BIT_GENERATORS = (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox, np.random.MT19937
+)
+
+
+def _odd_buffer_rng(bit_generator, seed):
+    """A Generator whose bit generator holds a buffered half word (if it buffers any)."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(0, 2**32, dtype=np.uint32)
+    return rng
+
+
+def _assert_same_place(rng, twin):
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("size", [1, 7, _WALK_BLOCK])
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+def test_word_draws_equal_numpy_draws_call_for_call(bit_generator, size):
+    # numpy's bounded integers: none, a raw 32-bit word, Lemire's method on
+    # 32-bit words (2**31 + 1 rejects about half of them) and on 64-bit words
+    totals = (1, 2, 3, 708588, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61,
+              2**63 - 1, 2**63)
+    rng = _odd_buffer_rng(bit_generator, 11)
+    twin = copy.deepcopy(rng)
+    words = _words(rng, size)
+    for rep in range(60):
+        for i, total in enumerate(totals):
+            assert words.below(total) == int(twin.integers(total)), (rep, total)
+            if (rep + i) % 3 == 0:
+                assert words.uniform() == twin.random()
+    words.close()
+    _assert_same_place(rng, twin)
+
+
+def _scan_batch(lp, rng, count):
+    """``count`` linear-scan samples in turn, or the error that stops them."""
+    out = []
+    try:
+        for _ in range(count):
+            out.append(_scan_lambda_prime_sample(lp, rng))
+    except SpherecombError as exc:
+        return str(exc)
+    return out
+
+
+def _batch(lp, rng, count):
+    try:
+        return lp.sample_many(rng, count)
+    except SpherecombError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(
+    _sampled_measures(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_BIT_GENERATORS),
+    st.integers(0, 40),
+)
+def test_sample_many_equals_the_linear_scans_in_turn(case, seed, bit_generator, count):
+    lp, _ = case
+    rng = _odd_buffer_rng(bit_generator, seed)
+    twin = copy.deepcopy(rng)
+    assert _batch(lp, rng, count) == _scan_batch(lp, twin, count)
+    _assert_same_place(rng, twin)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+def test_sample_many_stops_at_the_two_to_the_63_limit_in_place(bit_generator, n):
+    # after one edge, vertex 1 has 2**(n-1) suffixes and vertex 2 just one:
+    # at n = 64 every draw from vertex 1 is below 2**63, at n = 65 the first
+    # sample that reaches vertex 1 raises just after its prefix draw
+    edges = (
+        Edge(0, 1, ("a",)), Edge(0, 2, ("b",)),
+        Edge(1, 1, ("a",)), Edge(1, 1, ("b",)), Edge(2, 2, ("b",)),
+    )
+    g = GraphStructure(sanov_system(), 3, 0, edges)
+    prefix = PrefixDistribution(r=1, paths=((0,), (1,)), probs=(0.25, 0.75))
+    lp = LambdaPrime(graph=g, n=n, r=1, prefix=prefix)
+    rng = _odd_buffer_rng(bit_generator, n)
+    twin = copy.deepcopy(rng)
+    got = _batch(lp, rng, 30)
+    if n == 64:
+        assert got == _scan_batch(lp, twin, 30)
+    else:
+        assert got.startswith(f"length 65 is past the sampling limit: {2**64} paths ")
+        # numpy refuses the same draw before it takes a word
+        with pytest.raises(ValueError, match="high is out of bounds for int64"):
+            _scan_batch(lp, twin, 30)
+    _assert_same_place(rng, twin)
