@@ -5,16 +5,23 @@ large growth: an edge i -> j is taken with probability p_j / (lambda p_i),
 where p is the canonical right eigenvector.  Parallel edges split the i -> j
 mass equally.  The induced weight of a finite path w from i to j is
 q_i p_j / lambda^n, and pi_i = p_i q_i is the stationary distribution.
-Both samplers run one step loop (``_edge_blocks``) over blocks of uniform
-draws: ``sample_path`` keeps the edges, ``sample_vertex_walk`` only the
-vertices, and the same seed gives the same trajectory.
+Both samplers walk the chain one way (``_edge_blocks``): ``sample_path``
+keeps the edges, ``sample_vertex_walk`` only the vertices, and the same seed
+gives the same trajectory.  Each block of 16,384 uniforms is one
+``rng.random`` call.  Merging every vertex's running totals of edge
+probabilities into one sorted list of cuts makes each draw one interval id,
+whose step is a table lookup for every vertex at once, so a block is walked
+by an exact two-pass scan over step maps: it takes the edge that a
+``bisect_right`` per step takes.  The scan costs O(V) per step; measured on
+random 3-out chains it beats a bisect per step up to about V = 50 vertices,
+and every preset has V <= 5.
 
 Also here: the length-r prefix distribution harvested from A_inf, and the
 prefix-then-uniform path measure it induces (an explicit approximation to
 uniform counting measure) with its exact total variation distance to
-counting measure.  Every sampler draws one way: one ``bisect_right`` over
-cached running totals (``itertools.accumulate``) of edge probabilities,
-prefix masses, or the exact path counts of a uniform suffix's continuations.
+counting measure.  Those samplers draw by one ``bisect_right`` over cached
+running totals (``itertools.accumulate``) of prefix masses, or of the exact
+path counts of a uniform suffix's continuations.
 ``LambdaPrime.sample_many`` draws a batch of such paths in one loop.  It runs
 numpy's reduction of bit-generator words to ``random()`` and ``integers``
 draws itself, on words read in blocks, so it gives the paths and leaves the
@@ -27,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,7 +44,8 @@ from .combing import GraphStructure, _backward_counts, enumerate_paths
 from .errors import SmallGrowthVertexError, SpherecombError
 
 _ROW_SUM_TOL = 1e-12
-_WALK_BLOCK = 1 << 12  # chain steps, or suffix-draw words, per block; keeps each block small
+_WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
+_WORD_BLOCK = 1 << 12  # suffix-draw words per block; keeps each block small
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
 
 
@@ -62,6 +71,34 @@ class MarkovModel:
         """Per vertex, the running totals of its out-edges' probabilities."""
         prob = self.edge_prob
         return tuple(tuple(accumulate(prob[ei] for ei in out)) for out in self.graph.out_edges)
+
+    @cached_property
+    def _step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chain step by interval of the uniform draw: cuts, edges taken, vertices reached.
+
+        The cuts are every vertex's running totals, merged and sorted.  Edge
+        probabilities are nonnegative, so each vertex's totals are sorted too,
+        and between two consecutive cuts ``bisect_right(_cum_prob[w], u)`` is
+        the same for every vertex w: u picks one interval,
+        ``searchsorted(cuts, u, "right")``.  Row i of the two flat
+        (cuts + 2) x (V + 1) tables holds the edge taken and the vertex
+        reached from each vertex in interval i, a draw past the last total
+        clamped to the last edge.  A vertex with no
+        outgoing edge takes edge -1 to the sink V, which stays there; the last
+        row is the identity step.
+        """
+        nv = self.graph.n_vertices
+        cuts = np.array(sorted({c for row in self._cum_prob for c in row}), dtype=np.float64)
+        edge_of = np.full((len(cuts) + 2, nv + 1), -1, dtype=np.int32)
+        for w, (row, out) in enumerate(zip(self._cum_prob, self.graph.out_edges)):
+            if row:
+                k = np.searchsorted(np.array(row), cuts, side="right")
+                edge_of[1:-1, w] = np.array(out)[np.minimum(k, len(row) - 1)]
+                edge_of[0, w] = out[0]
+        dst = np.array([e.dst for e in self.graph.edges] + [nv], dtype=np.intp)
+        next_of = dst[edge_of]  # edge -1 reads the sink
+        next_of[-1] = np.arange(nv + 1)
+        return cuts, edge_of.ravel(), next_of.ravel()
 
     def start_vertex(self, start: int | str, rng: np.random.Generator) -> int:
         if start == "stationary":
@@ -147,27 +184,56 @@ def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = Non
 def _edge_blocks(
     model: MarkovModel, v: int, length: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """The chain step: edges of a trajectory from v, in int32 blocks of _WALK_BLOCK.
+    """The chain step: edges of a trajectory from v, in int32 blocks of at most _WALK_BLOCK.
 
     Each block takes one ``rng.random`` call, so the uniforms are the stream
-    that a single ``rng.random(length)`` would give.
+    that a single ``rng.random(length)`` would give.  A block of n draws is
+    walked by an exact two-pass scan over the step maps of ``_step_tables``
+    (Blelloch, "Prefix sums and their applications", 1990).  It is cut into
+    B sub-blocks of L ~ sqrt(n) / 4 steps, the last padded by identity steps.
+    Pass 1 composes every sub-block's map of the V + 1 lanes at once, in L
+    ``take`` calls; the maps are then chained from v in Python, which gives
+    each sub-block its true start; pass 2 replays all sub-blocks from their
+    starts, in L more ``take`` calls, and keeps the edges.  A stuck chain
+    falls into the sink, so it is found once per block, and the first edge
+    -1 is the step that raises.
     """
-    cum = model._cum_prob
-    out = model.graph.out_edges
-    dst = [e.dst for e in model.graph.edges]
+    cuts, edge_of, next_of = model._step_tables
+    lanes = model.graph.n_vertices + 1
+    sink = lanes - 1
+    pad = (len(cuts) + 1) * lanes  # the identity step's row
     for lo in range(0, length, _WALK_BLOCK):
-        taken: list[int] = []
-        for u in rng.random(min(_WALK_BLOCK, length - lo)).tolist():
-            row = cum[v]
-            k = bisect_right(row, u)
-            if k >= len(row):  # u == 1.0 rounding, or an empty row
-                if not row:
-                    raise SpherecombError(f"vertex {v} has no outgoing edge; chain is stuck")
-                k = len(row) - 1
-            ei = out[v][k]
-            taken.append(ei)
-            v = dst[ei]
-        yield np.array(taken, dtype=np.int32)
+        n = min(_WALK_BLOCK, length - lo)
+        span = max(1, isqrt(n) // 4)
+        count = -(-n // span)
+        rows = np.full(count * span, pad, dtype=np.intp)
+        np.multiply(np.searchsorted(cuts, rng.random(n), side="right"), lanes, out=rows[:n])
+        rows = rows.reshape(count, span).T.copy()  # row t: step t of every sub-block
+        # every index below is a row plus a vertex, in range by construction, so
+        # "clip" never clips; it spares ``take`` the buffered copy of "raise"
+        maps = np.tile(np.arange(lanes, dtype=np.intp), (count, 1))
+        at = np.empty_like(maps)
+        for row in rows:
+            np.add(row[:, None], maps, out=at)
+            np.take(next_of, at, out=maps, mode="clip")
+        start = v
+        firsts = []
+        for b in range(count):
+            firsts.append(v)
+            v = maps.item(b, v)
+        cur = np.array(firsts, dtype=np.intp)
+        taken = np.empty((span, count), dtype=np.int32)
+        at = np.empty_like(cur)
+        for row, out in zip(rows, taken):
+            np.add(row, cur, out=at)
+            np.take(edge_of, at, out=out, mode="clip")
+            np.take(next_of, at, out=cur, mode="clip")
+        taken = taken.T.ravel()[:n]
+        if v == sink:  # a step left a vertex with no outgoing edge
+            k = int(np.argmax(taken < 0))
+            stuck = start if k == 0 else model.graph.edges[taken[k - 1]].dst
+            raise SpherecombError(f"vertex {stuck} has no outgoing edge; chain is stuck")
+        yield taken
 
 
 def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> SampledPath:
@@ -226,10 +292,16 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
     """Times n >= 1 at which the trajectory sits at the target vertex.
 
     Accepts a SampledPath or a raw vertex sequence (position 0 = start, which
-    never counts as a return).
+    never counts as a return).  The target is range-checked against a
+    SampledPath's graph; a raw walk carries no graph, so there only a
+    negative target is rejected.
     """
-    verts = walk.vertices if isinstance(walk, SampledPath) else np.asarray(walk)
-    arr = np.asarray(verts)
+    if isinstance(walk, SampledPath):
+        walk.graph.check_vertex(target, "target")
+        walk = walk.vertices
+    elif target < 0:
+        raise ValueError(f"target vertex {target} is negative")
+    arr = np.asarray(walk)
     # Python ints via tolist(); the index array is freed before the tuple is
     # built, which keeps the peak memory of long walks down
     hits = (np.nonzero(arr[1:] == target)[0] + 1).tolist()
@@ -475,7 +547,7 @@ class LambdaPrime:
         The prefix takes one ``rng.random()`` draw; each suffix edge takes one
         ``rng.integers`` draw below its vertex's continuation count, and one
         bisect.  The draws run numpy's own reduction on the bit generator's
-        words, read in blocks of at most _WALK_BLOCK where the bit generator
+        words, read in blocks of at most _WORD_BLOCK where the bit generator
         allows (``_words``).  So the paths, and the state a Generator passed
         in is left in, are those of one numpy call per draw, also when a
         sample raises.
@@ -492,7 +564,7 @@ class LambdaPrime:
         cum_counts = self._cum_counts[::-1]
         out = self.graph.out_edges
         dst = [e.dst for e in self.graph.edges]
-        words = _words(rng, min(_WALK_BLOCK, count * (length + 1)))
+        words = _words(rng, min(_WORD_BLOCK, count * (length + 1)))
         below = words.below
         paths = []
         try:

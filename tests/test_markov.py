@@ -1,8 +1,12 @@
 """Markov chain weights, sampling, return times, prefix and tv machinery."""
 
 import copy
+import gc
 import hashlib
+import tracemalloc
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -27,7 +31,14 @@ from spherecomb import (
 )
 from spherecomb.combing import _backward_counts
 from spherecomb.errors import SmallGrowthVertexError, SpherecombError
-from spherecomb.markov import _WALK_BLOCK, LambdaPrime, PrefixDistribution, _words
+from spherecomb.markov import (
+    _WALK_BLOCK,
+    _WORD_BLOCK,
+    LambdaPrime,
+    PrefixDistribution,
+    SampledPath,
+    _words,
+)
 from conftest import sanov_system
 
 
@@ -220,6 +231,18 @@ def test_return_times_never_counts_position_zero(free2_model):
     walk = sample_vertex_walk(free2_model, 1, 50, seed=2)
     rec = return_times(walk, 1)
     assert 0 not in rec.returns
+
+
+def test_return_times_checks_its_target(free2_model):
+    path = sample_path(free2_model, 1, 20, seed=1)
+    for target in (99, 5, -1):
+        with pytest.raises(ValueError, match=f"target vertex {target} out of range for 5 vertices"):
+            return_times(path, target)
+    # a raw walk carries no graph: only a negative target is known to be wrong
+    for walk in ([0, 1, 2, 1], np.array(path.vertices, np.int32)):
+        with pytest.raises(ValueError, match="target vertex -1 is negative"):
+            return_times(walk, -1)
+    assert return_times(path, 1) == return_times(np.array(path.vertices, np.int32), 1)
 
 
 def test_excursion_recomposition(free2_model):
@@ -455,6 +478,30 @@ def _scan_cum_prob(model):
     return tuple(out)
 
 
+def _reference_edge_blocks(model, v, length, rng):
+    """One bisect per step, in blocks of 4,096 draws: the chain step the block scan replaced."""
+    cum = model._cum_prob
+    out = model.graph.out_edges
+    dst = [e.dst for e in model.graph.edges]
+    for lo in range(0, length, 4096):
+        taken = []
+        for u in rng.random(min(4096, length - lo)).tolist():
+            row = cum[v]
+            k = bisect_right(row, u)
+            if k >= len(row):  # u == 1.0 rounding, or an empty row
+                if not row:
+                    raise SpherecombError(f"vertex {v} has no outgoing edge; chain is stuck")
+                k = len(row) - 1
+            ei = out[v][k]
+            taken.append(ei)
+            v = dst[ei]
+        yield np.array(taken, dtype=np.int32)
+
+
+def _reference_edges(model, v, length, rng):
+    return [ei for block in _reference_edge_blocks(model, v, length, rng) for ei in block.tolist()]
+
+
 def _scan_prefix_sample(prefix, rng):
     """A prefix by a linear scan of its masses: the first whose running total exceeds u."""
     u = rng.random()
@@ -582,7 +629,7 @@ def _assert_same_place(rng, twin):
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("size", [1, 7, _WALK_BLOCK])
+@pytest.mark.parametrize("size", [1, 7, _WORD_BLOCK])
 @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
 def test_word_draws_equal_numpy_draws_call_for_call(bit_generator, size):
     # numpy's bounded integers: none, a raw 32-bit word, Lemire's method on
@@ -658,3 +705,130 @@ def test_sample_many_stops_at_the_two_to_the_63_limit_in_place(bit_generator, n)
         with pytest.raises(ValueError, match="high is out of bounds for int64"):
             _scan_batch(lp, twin, 30)
     _assert_same_place(rng, twin)
+
+
+# ---------------------------------------------------------------------------
+# the block scan of the chain against the per-step loop it replaced
+
+
+@st.composite
+def _chain_models(draw):
+    """A MarkovModel on a random multigraph, built directly from its parts.
+
+    One to eight vertices, parallel edges, and edge probabilities that are
+    often one of a few shared values, zero included, so running totals repeat
+    within and across vertices.  Rows may total below 1 (the clamp to the
+    last edge) or above, and one vertex may have no outgoing edge.
+    """
+    nv = draw(st.integers(1, 8))
+    stuck = draw(st.none() | st.integers(0, nv - 1))
+    edges = [
+        Edge(v, w, ("a",))
+        for v in range(nv) if v != stuck
+        for w in draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=4))
+    ]
+    edges = draw(st.permutations(edges))
+    prob = st.sampled_from((0.0, 0.125, 0.25, 1 / 3, 0.5)) | st.floats(0.0, 1.0)
+    edge_prob = draw(st.lists(prob, min_size=len(edges), max_size=len(edges)))
+    graph = GraphStructure(sanov_system(), nv, 0, tuple(edges))
+    return MarkovModel(
+        graph=graph, lam=1.0, p=(1.0,) * nv, q=(1.0,) * nv, pi=(1.0 / nv,) * nv,
+        edge_prob=tuple(edge_prob),
+    )
+
+
+_SPAN = isqrt(_WALK_BLOCK) // 4  # the sub-block length of a full block
+_SCAN_LENGTHS = (
+    0, 1, _SPAN - 1, _SPAN, _SPAN + 1,
+    _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1, 2 * _WALK_BLOCK + 3,
+)
+
+
+def _walk_outcome(sampler, model, start, length, seed):
+    """(vertices, edges or None, generator state) of one walk, or the message of its error."""
+    rng = np.random.default_rng(seed)
+    try:
+        got = sampler(model, start, length, rng)
+    except SpherecombError as exc:
+        return str(exc)
+    if isinstance(got, SampledPath):
+        return list(got.vertices), got.edges, repr(rng.bit_generator.state)
+    assert got.dtype == np.int32
+    return got.tolist(), None, repr(rng.bit_generator.state)
+
+
+def _reference_outcome(model, start, length, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        v = model.start_vertex(start, rng)
+        edges = tuple(_reference_edges(model, v, length, rng))
+    except SpherecombError as exc:
+        return str(exc)
+    return list(model.graph.path_vertices(v, edges)), edges, repr(rng.bit_generator.state)
+
+
+@settings(max_examples=150)
+@given(_chain_models(), st.sampled_from(_SCAN_LENGTHS), st.integers(0, 2**32 - 1), st.data())
+def test_block_scan_equals_the_per_step_loop(model, length, seed, data):
+    start = data.draw(st.integers(0, model.graph.n_vertices - 1) | st.just("stationary"))
+    expect = _reference_outcome(model, start, length, seed)
+    assert _walk_outcome(sample_path, model, start, length, seed) == expect
+    walk = _walk_outcome(sample_vertex_walk, model, start, length, seed)
+    if isinstance(expect, str):
+        assert walk == expect
+    else:
+        assert walk == (expect[0], None, expect[2])
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+def test_samplers_continue_one_stream_of_every_bit_generator(free2_model, bit_generator):
+    # two walks on one Generator are one long walk, and leave it where the
+    # per-step loop leaves it; the lengths cut the scan's blocks unevenly
+    rng = _odd_buffer_rng(bit_generator, 8)
+    ref = copy.deepcopy(rng)
+    whole = sample_vertex_walk(free2_model, 1, 37_000, copy.deepcopy(rng))
+    first = sample_path(free2_model, 1, 20_000, rng)
+    second = sample_vertex_walk(free2_model, first.vertices[-1], 17_000, rng)
+    assert whole.tolist() == list(first.vertices) + second.tolist()[1:]
+    assert whole.tolist() == list(free2_model.graph.path_vertices(
+        1, _reference_edges(free2_model, 1, 37_000, ref)
+    ))
+    _assert_same_place(rng, ref)
+
+
+def test_stuck_vertex_reached_late_raises_from_both_samplers():
+    # vertex 0 loops with probability 1 - 2**-15, else steps to vertex 1,
+    # which has no outgoing edge; with seed 11 the first such step is late,
+    # inside the second block of the scan
+    eps = 2.0**-15
+    graph = GraphStructure(sanov_system(), 2, 0, (Edge(0, 0, ("a",)), Edge(0, 1, ("b",))))
+    model = MarkovModel(
+        graph=graph, lam=1.0, p=(1.0, 1.0), q=(1.0, 0.0), pi=(1.0, 0.0), edge_prob=(1 - eps, eps)
+    )
+    k = int(np.argmax(np.random.default_rng(11).random(4 * _WALK_BLOCK) >= 1 - eps))
+    assert 20_000 < k < 2 * _WALK_BLOCK
+    # the walk that ends on vertex 1 takes no step from it, and does not raise
+    assert sample_path(model, 0, k + 1, 11).vertices[-2:] == (0, 1)
+    assert sample_vertex_walk(model, 0, k + 1, 11)[-2:].tolist() == [0, 1]
+    stuck = "^vertex 1 has no outgoing edge; chain is stuck$"
+    for length in (k + 2, 4 * _WALK_BLOCK):
+        with pytest.raises(SpherecombError, match=stuck):
+            _reference_edges(model, 0, length, np.random.default_rng(11))
+        for sampler in (sample_path, sample_vertex_walk):
+            with pytest.raises(SpherecombError, match=stuck):
+                sampler(model, 0, length, 11)
+
+
+def test_vertex_walk_memory_is_bounded(free2_model):
+    # a 10**6-step walk is 3.8 MiB of int32 vertices; the scan's blocks add
+    # well under 2 MiB on top
+    sample_vertex_walk(free2_model, 1, 1, 0)  # the model's step tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        walk = sample_vertex_walk(free2_model, 1, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.shape == (10**6 + 1,)
+    assert peak <= 6 * 2**20
