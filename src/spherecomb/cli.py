@@ -53,6 +53,8 @@ def _parse_term(entry) -> tuple[tuple[int, ...], complex]:
     """One ``[[k1, ..., kd], coeff]`` entry; coeff is a number or a [re, im] pair."""
     try:
         k, coeff = entry
+        if not isinstance(k, list):
+            raise TypeError("the frequency is not a list")
         if isinstance(coeff, (int, float)):
             c = complex(coeff)
         else:
@@ -131,7 +133,9 @@ def _config_value(key: str, value, default):
 
     An integer option takes an integer, an integral number or an integer
     string and gives ``int(value)``; a flag option takes true or false;
-    choices are enforced.  Null is taken only where it is the default.
+    choices are enforced; any other option takes a string, or also a list
+    where its parser reads one (``_LIST_OPTIONS``).  Null is taken only
+    where it is the default.
     """
     spec = _OPTIONS[key]
     if value is None and default is None:
@@ -153,7 +157,13 @@ def _config_value(key: str, value, default):
     if "choices" in spec and value not in spec["choices"]:
         choices = ", ".join(spec["choices"])
         raise SpherecombError(f"config key {key!r} must be one of {choices}, not {shown}")
-    return value
+    if isinstance(value, str) or "action" in spec:
+        return value
+    if key in _LIST_OPTIONS:
+        if isinstance(value, list):
+            return value
+        raise SpherecombError(f"config key {key!r} must be a string or a list, not {shown}")
+    raise SpherecombError(f"config key {key!r} must be a string, not {shown}")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -398,6 +408,9 @@ _OPTIONS = {
     "lookahead": {"type": int},
     "verify_radius": {"type": int},
 }
+
+# String options whose config value may also be a JSON list, as their parsers read one.
+_LIST_OPTIONS = frozenset({"basepoint", "k", "function"})
 
 # The options of an orbit average: which preset, basepoint and test function.
 _ORBIT = {"preset": "free2_sanov", "basepoint": None, "k": None, "function": None, "output": None}

@@ -23,6 +23,7 @@ multiplicity.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
@@ -79,8 +80,15 @@ class GraphStructure:
                     raise UnknownLabelError(f"edge {i} uses unknown label {s!r}")
 
     def check_vertex(self, v: int | None, role: str) -> None:
-        """The range check of every vertex argument: None, or 0 .. n_vertices - 1."""
-        if v is not None and not 0 <= v < self.n_vertices:
+        """The check of every vertex argument: None, or an integer in 0 .. n_vertices - 1.
+
+        A bool or a float, integral or not, is no vertex.
+        """
+        if v is None:
+            return
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ValueError(f"{role} vertex {v!r} is not an integer")
+        if not 0 <= v < self.n_vertices:
             raise ValueError(f"{role} vertex {v} out of range for {self.n_vertices} vertices")
 
     @cached_property
@@ -102,10 +110,14 @@ class GraphStructure:
         return self.system.word_matrix(self.path_word(path))
 
     def path_vertices(self, start: int, path: Sequence[int]) -> tuple[int, ...]:
+        """The vertices a path of edge indices 0 .. E - 1 visits from start."""
         self.check_vertex(start, "start")
+        edges = self.edges
         verts = [start]
         for i in path:
-            e = self.edges[i]
+            if not 0 <= i < len(edges):
+                raise ValueError(f"edge {i} out of range for {len(edges)} edges")
+            e = edges[i]
             if e.src != verts[-1]:
                 raise ValueError(f"edge {i} does not continue the path at vertex {verts[-1]}")
             verts.append(e.dst)
@@ -346,11 +358,11 @@ def restrict(
 
     ``new_initial`` defaults to the old start vertex, which then must survive.
     """
+    for v in keep:  # before the set, which would merge True into vertex 1
+        graph.check_vertex(v, "kept")
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("restriction to an empty vertex set")
-    for v in kept:
-        graph.check_vertex(v, "kept")
     if new_initial is None:
         new_initial = graph.initial
     if new_initial not in kept:

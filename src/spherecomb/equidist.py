@@ -675,7 +675,7 @@ def mc_spherical(
     d = graph.system.dim
     x_col, state = _walk_start(x, d, inverse)
     lp = markov_mod.lambda_prime(graph, data, n)
-    rng = markov_mod._as_rng(seed)
+    rng = np.random.default_rng(seed)
     paths = np.array(lp.sample_many(rng, samples), dtype=np.intp)
     paths = paths.reshape(samples, n)
     acts = _edge_actions(graph, inverse)

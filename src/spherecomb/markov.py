@@ -22,10 +22,12 @@ uniform counting measure) with its exact total variation distance to
 counting measure.  Those samplers draw by one ``bisect_right`` over cached
 running totals (``itertools.accumulate``) of prefix masses, or of the exact
 path counts of a uniform suffix's continuations.
-``LambdaPrime.sample_many`` draws a batch of such paths in one loop.  It runs
-numpy's reduction of bit-generator words to ``random()`` and ``integers``
-draws itself, on words read in blocks, so it gives the paths and leaves the
-generator state of one numpy call per draw.
+``LambdaPrime.sample_many`` draws a batch of such paths in one loop.  Where
+the bit generator buffers half a word (PCG64, the default, and its kin), it
+runs numpy's reduction of bit-generator words to ``random()`` and
+``integers`` draws itself, on words read in blocks; MT19937 and other
+unbuffered generators draw by numpy's own calls.  Either way it gives the
+paths and leaves the generator state of one numpy call per draw.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ _ROW_SUM_TOL = 1e-12
 _WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
 _WORD_BLOCK = 1 << 12  # suffix-draw words per block; keeps each block small
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,8 @@ class MarkovModel:
     def start_vertex(self, start: int | str, rng: np.random.Generator) -> int:
         if start == "stationary":
             return int(rng.choice(self.graph.n_vertices, p=np.array(self.pi)))
-        v = int(start)
-        self.graph.check_vertex(v, "start")
-        return v
+        self.graph.check_vertex(start, "start")
+        return int(start)
 
 
 def build_markov(graph: GraphStructure, data: spectral.SpectralData | None = None) -> MarkovModel:
@@ -166,18 +161,22 @@ class SampledPath:
 def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = None) -> float:
     """Cylinder mass q_i p_j / lambda^n of a path from i to j with n edges.
 
-    The empty path needs an explicit ``start``; its weight is pi_start.
+    The empty path needs an explicit ``start``; its weight is pi_start.  The
+    path is walked by ``GraphStructure.path_vertices``, which rejects an edge
+    index out of range or an edge that does not continue the path.
     """
-    model.graph.check_vertex(start, "start")
+    graph = model.graph
+    graph.check_vertex(start, "start")
     if len(path) == 0:
         if start is None:
             raise ValueError("empty path: pass the start vertex explicitly")
         return model.pi[start]
-    edges = model.graph.edges
-    i = edges[path[0]].src
+    first = path[0]
+    # an edge index out of range leaves i at start, and path_vertices rejects it
+    i = graph.edges[first].src if 0 <= first < len(graph.edges) else start
     if start is not None and start != i:
         raise ValueError(f"path starts at {i}, not {start}")
-    j = edges[path[-1]].dst
+    j = graph.path_vertices(i, path)[-1]
     return model.q[i] * model.p[j] / model.lam ** len(path)
 
 
@@ -243,7 +242,7 @@ def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> Samp
     """
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     v = model.start_vertex(start, rng)
     taken: list[int] = []
     for block in _edge_blocks(model, v, length, rng):
@@ -261,7 +260,7 @@ def sample_vertex_walk(
     """
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     v = model.start_vertex(start, rng)
     walk = np.empty(length + 1, dtype=np.int32)
     walk[0] = v
@@ -370,65 +369,42 @@ def prefix_distribution(
 
 
 class _Words:
-    """``Generator.random()`` and ``int(Generator.integers(total))``, one numpy call per word.
+    """``Generator.random()`` and ``int(Generator.integers(total))``, by numpy's own calls.
 
-    ``below`` runs numpy's reduction of bit-generator words to a bounded
-    integer (Lemire, "Fast random integer generation in an interval", ACM
-    TOMACS 2019) for 1 <= total <= 2**63.  Total 1 takes no word and 2**32
-    one raw 32-bit word.  Otherwise a 32-bit word (below 2**32) or a 64-bit
-    word (above) is multiplied by the total, drawn again while the low half
-    of the product is below (2**bits - total) % total, and the high half is
-    the draw.  Here each word is one numpy call, which works for every bit
-    generator; ``_BlockWords`` reads them in blocks.
+    For bit generators with no half-word buffer (MT19937, or any other):
+    each draw is one numpy call, so the generator is always where the
+    per-call draws leave it.
     """
 
-    __slots__ = ("_rng",)
+    __slots__ = ("uniform", "_integers")
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def uniform(self) -> float:
-        return self._rng.random()
-
-    def _word32(self) -> int:
-        return int(self._rng.integers(0, 1 << 32, dtype=np.uint32))
-
-    def _word64(self) -> int:
-        return int(self._rng.integers(0, 1 << 64, dtype=np.uint64))
+        self.uniform = rng.random
+        self._integers = rng.integers
 
     def below(self, total: int) -> int:
-        if total == 1:
-            return 0
-        if total == 1 << 32:
-            return self._word32()
-        if total < 1 << 32:
-            return self._reduce(self._word32() * total, total, 32)
-        return self._reduce(self._word64() * total, total, 64)
-
-    def _reduce(self, m: int, total: int, bits: int) -> int:
-        """The draw from m = word * total: the high part, once the low part is not rejected."""
-        low = (1 << bits) - 1
-        if m & low < total:  # a larger low part is never rejected
-            word = self._word32 if bits == 32 else self._word64
-            limit = ((1 << bits) - total) % total
-            while m & low < limit:
-                m = word() * total
-        return m >> bits
+        return int(self._integers(total))
 
     def close(self) -> None:
-        """Leave the generator where the per-call draws leave it: here it already is."""
+        """Nothing to put back: every draw was a numpy call."""
 
 
-class _BlockWords(_Words):
+class _BlockWords:
     """The same draws from blocks of 64-bit words read by ``bit_generator.random_raw``.
 
     For the bit generators that buffer half a word (``has_uint32`` in their
     state: PCG64, PCG64DXSM, SFC64, Philox).  Their ``random()`` is
     (u64 >> 11) * 2**-53, and a 32-bit draw takes a word's low half and
-    buffers its high half for the next one.  ``close`` puts the generator
-    back at the state saved before the last block, advances it by the words
-    used from that block and writes the half-word buffer back, so it stands
-    where the per-call draws would have left it.
+    buffers its high half for the next one.  ``below`` runs numpy's reduction
+    of words to a bounded integer (Lemire, "Fast random integer generation in
+    an interval", ACM TOMACS 2019) for 1 <= total <= 2**63.  Total 1 takes no
+    word and 2**32 one raw 32-bit word.  Otherwise a 32-bit word (below
+    2**32) or a 64-bit word (above) is multiplied by the total, drawn again
+    while the low half of the product is below (2**bits - total) % total,
+    and the high half is the draw.  ``close`` puts the generator back at the
+    state saved before the last block, advances it by the words used from
+    that block and writes the half-word buffer back, so it stands where the
+    per-call draws would have left it.
     """
 
     __slots__ = ("_bg", "_has", "_half", "_size", "_block", "_pos", "_saved")
@@ -462,9 +438,13 @@ class _BlockWords(_Words):
         return (self._word64() >> 11) * 2.0**-53
 
     def below(self, total: int) -> int:
-        """``_Words.below``, with its hot case inline: a 32-bit word (``_word32``) not rejected."""
+        """The reduction, with its hot case inline: a 32-bit word (``_word32``) not rejected."""
         if not 1 < total < 1 << 32:
-            return super().below(total)
+            if total == 1:
+                return 0
+            if total == 1 << 32:
+                return self._word32()
+            return self._reduce(self._word64() * total, total, 64)
         if self._has:
             self._has = 0
             m = self._half * total
@@ -476,6 +456,16 @@ class _BlockWords(_Words):
             return m >> 32
         return self._reduce(m, total, 32)
 
+    def _reduce(self, m: int, total: int, bits: int) -> int:
+        """The draw from m = word * total: the high part, once the low part is not rejected."""
+        low = (1 << bits) - 1
+        if m & low < total:  # a larger low part is never rejected
+            word = self._word32 if bits == 32 else self._word64
+            limit = ((1 << bits) - total) % total
+            while m & low < limit:
+                m = word() * total
+        return m >> bits
+
     def close(self) -> None:
         bg = self._bg
         if self._saved is not None:
@@ -486,7 +476,7 @@ class _BlockWords(_Words):
         bg.state = state
 
 
-def _words(rng: np.random.Generator, size: int) -> _Words:
+def _words(rng: np.random.Generator, size: int) -> _Words | _BlockWords:
     """Words in blocks of ``size`` where the bit generator buffers half a word, else per call."""
     state = rng.bit_generator.state
     if "has_uint32" in state:
@@ -546,11 +536,12 @@ class LambdaPrime:
 
         The prefix takes one ``rng.random()`` draw; each suffix edge takes one
         ``rng.integers`` draw below its vertex's continuation count, and one
-        bisect.  The draws run numpy's own reduction on the bit generator's
-        words, read in blocks of at most _WORD_BLOCK where the bit generator
-        allows (``_words``).  So the paths, and the state a Generator passed
-        in is left in, are those of one numpy call per draw, also when a
-        sample raises.
+        bisect.  Where the bit generator buffers half a word, the draws run
+        numpy's own reduction on its words, read in blocks of at most
+        _WORD_BLOCK; MT19937 and other unbuffered generators draw by numpy's
+        own calls (``_words``).  So the paths, and the state a Generator
+        passed in is left in, are those of one numpy call per draw, also when
+        a sample raises.
 
         Raises ``SpherecombError`` after a sample's prefix draw, before its
         suffix draws, when the suffix has no continuation or more than 2**63
@@ -558,7 +549,7 @@ class LambdaPrime:
         """
         if count < 0:
             raise ValueError("sample count must be nonnegative")
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         length = self.n - self.r
         counts = self._counts[length]
         cum_counts = self._cum_counts[::-1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,11 @@ def test_every_vertex_argument_is_range_checked_one_way(graph):
     for v in (-1, nv):
         for role, call in calls:
             message = f"^{role} vertex {v} out of range for {nv} vertices$"
+            with pytest.raises(ValueError, match=message):
+                call(v)
+    for v in (1.5, 2.0, "1", True):
+        for role, call in calls:
+            message = f"^{role} vertex {re.escape(repr(v))} is not an integer$"
             with pytest.raises(ValueError, match=message):
                 call(v)
     with pytest.raises(ValueError, match="^graph needs a start vertex$"):

@@ -431,8 +431,13 @@ def test_config_basepoint_list_matches_the_flag(tmp_path, capsys):
         (["equidist", "--k", "1,0,0"],
          "error: function frequencies have 3 entries, torus needs 2\n"),
         (["equidist", "--config", [1]], "error: config file {cfg} must hold a JSON object\n"),
+        (["equidist", "--function", "[[1, 1]]"],
+         "error: bad function term [1, 1]: expected [[k1, ..., kd], coeff]\n"),
+        (["equidist", "--function", '[["10", 1]]'],
+         "error: bad function term ['10', 1]: expected [[k1, ..., kd], coeff]\n"),
     ],
-    ids=["zero-denominator", "frequency-too-long", "config-list"],
+    ids=["zero-denominator", "frequency-too-long", "config-list", "frequency-number",
+         "frequency-string"],
 )
 def test_bad_input_messages(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"
@@ -465,6 +470,24 @@ def test_non_integer_frequency_exits_2(tmp_path, capsys, argv, entry):
     assert code == 2
     assert out == ""
     assert err == f"error: frequency entry {entry} is not an integer\n"
+
+
+@pytest.mark.parametrize("output", [2, True, ["x"]])
+def test_config_output_that_is_no_string_exits_2_and_writes_nothing(tmp_path, output):
+    # in a separate process: open() takes a number as a file descriptor of the process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": output}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherecomb", "analyze", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    shown = json.dumps(output)
+    assert proc.stderr == f"error: config key 'output' must be a string, not {shown}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -594,6 +594,17 @@ def test_path_vertices_range_checks_its_start(free2_graph):
             g.path_vertices(v, ())
 
 
+def test_path_vertices_range_checks_its_edges(free2_graph):
+    g = free2_graph
+    n_edges = len(g.edges)
+    for bad in (-1, n_edges, 99):
+        message = f"^edge {bad} out of range for {n_edges} edges$"
+        with pytest.raises(ValueError, match=message):
+            g.path_vertices(4, (bad,))
+        with pytest.raises(ValueError, match=message):
+            g.path_vertices(1, (4, bad))
+
+
 def test_components_and_prune_small_growth():
     g = small_growth_graph()
     large = classify(transition_matrix(g)).large_growth

@@ -175,6 +175,19 @@ def test_path_weight_pinned_value(free2_model, free2_graph):
     assert path_weight(free2_model, (), start=2) == free2_model.pi[2]
 
 
+def test_path_weight_walks_only_paths(free2_model, free2_graph):
+    g = free2_graph
+    assert (g.edges[4][:2], g.edges[12][:2]) == ((1, 1), (3, 3))
+    with pytest.raises(ValueError, match="^edge 12 does not continue the path at vertex 1$"):
+        path_weight(free2_model, (4, 12))
+    for bad in (-1, len(g.edges)):
+        message = f"^edge {bad} out of range for {len(g.edges)} edges$"
+        with pytest.raises(ValueError, match=message):
+            path_weight(free2_model, (bad,))
+        with pytest.raises(ValueError, match=message):
+            path_weight(free2_model, (4, bad), start=1)
+
+
 def test_sample_path_deterministic(free2_model):
     p1 = sample_path(free2_model, 1, 64, seed=123)
     p2 = sample_path(free2_model, 1, 64, seed=123)
