@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     NotUnimodularError,
     UnknownLabelError,
+    check_integer,
 )
 
 FRACTIONAL_BITS = 64
@@ -157,8 +158,7 @@ def sqrt_fix64(n: int) -> int:
     Exact via integer square root; no floating point is involved, so e.g.
     sqrt_fix64(2) carries all 64 fractional bits of sqrt(2).
     """
-    if n < 0:
-        raise ValueError("radicand must be nonnegative")
+    check_integer(n, "radicand")
     return isqrt(n << (2 * FRACTIONAL_BITS)) & MASK
 
 

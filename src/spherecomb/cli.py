@@ -25,7 +25,7 @@ from . import combing, equidist, markov, spectral
 from .algebra import TorusPoint
 from .combing import build_cone_type_combing, cayley_sphere_counts, save_automaton, sphere_counts
 from .equidist import DEFAULT_BUDGET, TestFunction
-from .errors import SpherecombError
+from .errors import BudgetExceededError, SpherecombError, check_integer
 from .presets import Preset, preset, preset_names
 
 # Orbit reports echo the former pool size so their bytes stay unchanged; no longer an input.
@@ -36,10 +36,8 @@ def _parse_basepoint(spec, dim: int) -> TorusPoint:
     """Decimal or fraction strings, one per coordinate, rounded to fixed point."""
     if isinstance(spec, str):
         parts = [s.strip() for s in spec.split(",")]
-    elif isinstance(spec, list):
-        parts = [str(s) for s in spec]
     else:
-        raise SpherecombError(f"basepoint must be a list or a comma-separated string, not {spec!r}")
+        parts = [str(s) for s in spec]
     if len(parts) != dim:
         raise SpherecombError(f"basepoint has {len(parts)} coordinates, torus needs {dim}")
     try:
@@ -82,8 +80,6 @@ def _parse_function(k_spec, terms_spec, dim: int) -> TestFunction:
                 k = json.loads(f"[{k_spec}]")
             except ValueError:
                 raise SpherecombError(f"k must be integers separated by commas, not {k_spec!r}") from None
-        if not isinstance(k, list):
-            raise SpherecombError(f"k must be a list of integers, not {k_spec!r}")
         f = TestFunction.character(k)
     else:
         f = TestFunction.character((1,) + (0,) * (dim - 1))
@@ -185,14 +181,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _n_max(cfg: dict, least: int = 1) -> int:
-    """The largest length N of a report; a range of lengths with no rows is an error."""
-    n_max = cfg["n_max"]
-    if n_max < least:
-        raise SpherecombError(f"N must be at least {least}, not {n_max}")
-    return n_max
-
-
 def _spectral_for(ps: Preset) -> spectral.SpectralData:
     return spectral.perron_data(spectral.transition_matrix(ps.graph))
 
@@ -253,10 +241,9 @@ def _cmd_analyze(cfg: dict) -> int:
 
 def _cmd_spheres(cfg: dict) -> int:
     ps = preset(cfg["preset"])
-    n_max = _n_max(cfg, least=0)
-    counts = sphere_counts(ps.graph, n_max)
+    counts = sphere_counts(ps.graph, cfg["n_max"])
     if cfg["cross_check"]:
-        bfs = cayley_sphere_counts(ps.system, n_max)
+        bfs = cayley_sphere_counts(ps.system, cfg["n_max"])
         header = ["n", "path_count", "cayley_count", "match"]
         rows = [[n, c, b, str(c == b).lower()] for n, (c, b) in enumerate(zip(counts, bfs))]
     else:
@@ -272,18 +259,21 @@ def _cmd_equidist(cfg: dict) -> int:
     budget = cfg["budget"]
     inverse = not cfg["forward"]
     mode = cfg["mode"]
-    if mode == "auto":  # a length below 1 goes to the exact series, which rejects it
-        mode = "mc" if n_max > 0 and sum(sphere_counts(ps.graph, n_max)) > budget else "exact"
-    if mode == "exact":
-        rep = equidist.sphere_series(ps.graph, x, f, n_max, inverse=inverse, budget=budget)
-    else:
+    if mode != "mc":  # auto runs the exact series unless it is over the budget
+        try:
+            rep = equidist.sphere_series(ps.graph, x, f, n_max, inverse=inverse, budget=budget)
+        except BudgetExceededError:
+            if mode == "exact":
+                raise
+            mode = "mc"
+    if mode == "mc":
         rep = equidist.mc_series(
             ps.graph, _spectral_for(ps), x, f, n_max, cfg["samples"], cfg["seed"],
             inverse=inverse,
         )
     errs = rep.stderr or [None] * n_max
     if cfg["json"]:
-        config = _orbit_config(cfg, "equidist", f, mode=mode, **_ECHOED_WORKERS)
+        config = _orbit_config(cfg, "equidist", f, mode=rep.mode, **_ECHOED_WORKERS)
         _write_report(cfg["output"], config, {
             "basepoint_fix64": list(x.coords),
             "n": list(rep.ns),
@@ -298,7 +288,7 @@ def _cmd_equidist(cfg: dict) -> int:
         "cesaro_re", "cesaro_im", "mode", "stderr",
     ]
     rows = [
-        [n, count, _fmt(s.real), _fmt(s.imag), _fmt(c.real), _fmt(c.imag), mode,
+        [n, count, _fmt(s.real), _fmt(s.imag), _fmt(c.real), _fmt(c.imag), rep.mode,
          "" if e is None else _fmt(e)]
         for n, count, s, c, e in zip(rep.ns, rep.path_counts, rep.spherical, rep.cesaro, errs)
     ]
@@ -335,10 +325,11 @@ def _cmd_markov_cesaro(cfg: dict) -> int:
 
 def _cmd_tv(cfg: dict) -> int:
     ps = preset(cfg["preset"])
+    check_integer(cfg["n_max"], "N", 1)  # a table with no rows is an error
     data = _spectral_for(ps)
     rows = [
         [n, _fmt(markov.lambda_prime(ps.graph, data, n).tv_to_counting())]
-        for n in range(1, _n_max(cfg) + 1)
+        for n in range(1, cfg["n_max"] + 1)
     ]
     _write_text(cfg["output"], _csv_text(["n", "tv"], rows))
     return 0

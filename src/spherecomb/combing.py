@@ -23,7 +23,6 @@ multiplicity.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
@@ -41,6 +40,7 @@ from .errors import (
     RadiusExhaustedError,
     SpherecombError,
     UnknownLabelError,
+    check_integer,
 )
 
 
@@ -62,32 +62,28 @@ class GraphStructure:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        check_integer(self.n_vertices, "vertex count", None)
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        if self.initial is None:  # check_vertex lets None pass; a graph needs a start
+        if self.initial is None:
             raise ValueError("graph needs a start vertex")
         self.check_vertex(self.initial, "initial")
         known = set(self.system.labels)
         for i, e in enumerate(self.edges):
-            if not (0 <= e.src < self.n_vertices and 0 <= e.dst < self.n_vertices):
-                raise AutomatonFormatError(
-                    f"edge {i} joins {e.src}->{e.dst}, outside 0..{self.n_vertices - 1}"
-                )
+            self.check_vertex(e.src, f"edge {i} tail")
+            self.check_vertex(e.dst, f"edge {i} head")
             if not e.word:
                 raise AutomatonFormatError(f"edge {i} has an empty label word")
             for s in e.word:
                 if s not in known:
                     raise UnknownLabelError(f"edge {i} uses unknown label {s!r}")
 
-    def check_vertex(self, v: int | None, role: str) -> None:
-        """The check of every vertex argument: None, or an integer in 0 .. n_vertices - 1.
+    def check_vertex(self, v: int, role: str) -> None:
+        """The check of every vertex argument: an integer (``check_integer``) in 0 .. V - 1.
 
-        A bool or a float, integral or not, is no vertex.
+        None is no vertex; a caller whose vertex is optional skips the check for it.
         """
-        if v is None:
-            return
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ValueError(f"{role} vertex {v!r} is not an integer")
+        check_integer(v, f"{role} vertex", None)
         if not 0 <= v < self.n_vertices:
             raise ValueError(f"{role} vertex {v} out of range for {self.n_vertices} vertices")
 
@@ -115,6 +111,7 @@ class GraphStructure:
         edges = self.edges
         verts = [start]
         for i in path:
+            check_integer(i, "edge", None)
             if not 0 <= i < len(edges):
                 raise ValueError(f"edge {i} out of range for {len(edges)} edges")
             e = edges[i]
@@ -165,8 +162,7 @@ def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
     generator is one exact object-dtype ``np.matmul``; products are matched
     to known elements, and new ones numbered, by C-level passes over keys.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    check_integer(radius, "radius")
     d, n_gens = system.dim, len(system.matrices)
     gens = np.array([m.rows for m in system.matrices], dtype=object)
     ident = sum(GroupMatrix.identity(d).rows, ())
@@ -210,8 +206,8 @@ def build_cone_type_combing(
     the Cayley sphere counts for all n <= radius - lookahead, else the
     lookahead was too shallow and the automaton is rejected.
     """
-    if lookahead < 1:
-        raise ValueError("lookahead must be at least 1")
+    check_integer(radius, "radius")
+    check_integer(lookahead, "lookahead", 1)
     if radius <= lookahead:
         raise RadiusExhaustedError(
             f"radius {radius} leaves no room below lookahead {lookahead}"
@@ -269,8 +265,6 @@ def _backward_counts(
     graph: GraphStructure, n_max: int, target: int | None = None
 ) -> list[list[int]]:
     """c[m][v] = exact number of length-m paths from v (ending at target, if given)."""
-    if n_max < 0:
-        raise ValueError("length must be nonnegative")
     nv = graph.n_vertices
     heads = [[graph.edges[i].dst for i in out] for out in graph.out_edges]
     if target is None:
@@ -292,8 +286,10 @@ def count_paths(
     ``source=None`` counts paths from every vertex (the Omega^n of the whole
     structure); ``target=None`` places no condition on the endpoint.
     """
-    graph.check_vertex(source, "source")
-    graph.check_vertex(target, "target")
+    check_integer(length, "length")
+    for v, role in ((source, "source"), (target, "target")):
+        if v is not None:
+            graph.check_vertex(v, role)
     table = _backward_counts(graph, length, target)
     if source is None:
         return sum(table[length])
@@ -302,6 +298,7 @@ def count_paths(
 
 def sphere_counts(graph: GraphStructure, n_max: int) -> tuple[int, ...]:
     """Path counts from the start vertex for n = 0..n_max (one backward pass)."""
+    check_integer(n_max, "length")
     table = _backward_counts(graph, n_max)
     return tuple(table[n][graph.initial] for n in range(n_max + 1))
 
@@ -314,10 +311,10 @@ def enumerate_paths(
     Paths are generated lazily, one depth-first descent at a time, so memory
     stays O(n) however many paths there are.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    check_integer(length, "length")
     graph.check_vertex(source, "source")
-    graph.check_vertex(target, "target")
+    if target is not None:
+        graph.check_vertex(target, "target")
     if length == 0:
         if target is None or source == target:
             yield ()
@@ -365,6 +362,7 @@ def restrict(
         raise ValueError("restriction to an empty vertex set")
     if new_initial is None:
         new_initial = graph.initial
+    graph.check_vertex(new_initial, "initial")
     if new_initial not in kept:
         raise ValueError(f"initial vertex {new_initial} is not in the kept set")
     index = {v: i for i, v in enumerate(kept)}
@@ -378,8 +376,7 @@ def restrict(
 
 def p_step(graph: GraphStructure, p: int) -> GraphStructure:
     """Structure whose edges are the length-p paths, labels concatenated in order."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    check_integer(p, "p", 1)
     edges: list[Edge] = []
     for v in range(graph.n_vertices):
         for path in enumerate_paths(graph, v, p):

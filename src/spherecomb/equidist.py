@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,7 +52,7 @@ from . import markov as markov_mod
 from . import spectral
 from .algebra import MASK, SCALE, TorusPoint, phase64
 from .combing import GraphStructure, _backward_counts, sphere_counts
-from .errors import BudgetExceededError, DimensionMismatchError, SpherecombError
+from .errors import BudgetExceededError, DimensionMismatchError, SpherecombError, check_integer
 
 DEFAULT_BUDGET = 10**7
 
@@ -63,12 +62,10 @@ _CHUNK = 8  # distinct frequencies evaluated together on each block of rows
 
 
 def _frequency_entry(v) -> int:
-    """An integer (numpy's too) or an integral float as an int; a bool is no integer here."""
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise ValueError(f"frequency entry {v!r} is not an integer")
+    """An integer (``check_integer``) or, unlike a size, an integral float, as an int."""
+    if not (isinstance(v, float) and v.is_integer()):
+        check_integer(v, "frequency entry", None)
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -168,11 +165,6 @@ def _points(states: np.ndarray, x_col: np.ndarray, inverse: bool) -> np.ndarray:
     """The (N, d) orbit points of N path states, stacked in any shape: w^-1.x, or w.x."""
     rows = states.reshape(-1, len(x_col))
     return rows if inverse else (rows @ x_col).reshape(-1, len(x_col))
-
-
-def _check_length(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"N must be at least 1, not {n_max}")
 
 
 def _spread(tables: list[np.ndarray], per: int, states: np.ndarray, verts: np.ndarray, groups):
@@ -290,10 +282,12 @@ def orbit_tables(
     range of the level, and one matmul per vertex forms them for all its
     prefixes.
     """
+    check_integer(n_max, "length")
     if start is None:
         start = graph.initial
     graph.check_vertex(start, "start")
-    graph.check_vertex(end, "end")
+    if end is not None:
+        graph.check_vertex(end, "end")
     return next(_orbits(graph, x, n_max, [start], end, inverse, budget))
 
 
@@ -447,7 +441,7 @@ def sphere_series(
     One level-synchronous pass serves all lengths: the average over paths of
     length n sums the level-n table, rows in path-lexicographic edge order.
     """
-    _check_length(n_max)
+    check_integer(n_max, "N", 1)
     tables = orbit_tables(graph, x, n_max, inverse=inverse, budget=budget)
     sums = _function_sums(tables, f)
     counts = [t.shape[0] for t in tables]
@@ -496,6 +490,7 @@ def spherical_average(
     The sphere is the level-n table of the level-synchronous enumeration,
     summed in path-lexicographic edge order.
     """
+    check_integer(n, "length")
     if n == 0:
         _walk_start(x, graph.system.dim, inverse)
         return f.evaluate(x)
@@ -551,9 +546,10 @@ def kappa_average(
     nodes of all their trees together.  The mean over n is taken by
     :func:`_running_means`.
     """
-    _check_length(n_max)
-    graph.check_vertex(start, "start")
-    graph.check_vertex(end, "end")
+    check_integer(n_max, "N", 1)
+    for v, role in ((start, "start"), (end, "end")):
+        if v is not None:
+            graph.check_vertex(v, role)
     if data is None:
         data = spectral.perron_data(spectral.transition_matrix(graph))
     starts = range(graph.n_vertices) if start is None else [start]
@@ -593,8 +589,10 @@ def markov_cesaro(
     predicted limit is pi_i pi_j times the Haar integral.  The mean over n
     is taken by :func:`_running_means`.
     """
-    _check_length(n_max)
+    check_integer(n_max, "N", 1)
     graph = model.graph
+    graph.check_vertex(start, "start")
+    graph.check_vertex(end, "end")
     tables = orbit_tables(
         graph, x, n_max, start=start, end=end, inverse=inverse, budget=budget
     )
@@ -670,8 +668,7 @@ def mc_spherical(
     time in path order, each state right-multiplied by its edge's R_e as one
     batched uint64 product.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    check_integer(samples, "samples", 1)
     d = graph.system.dim
     x_col, state = _walk_start(x, d, inverse)
     lp = markov_mod.lambda_prime(graph, data, n)
@@ -707,7 +704,7 @@ def mc_series(
 
     Level n samples with the n-th child of ``SeedSequence(seed).spawn(n_max)``.
     """
-    _check_length(n_max)
+    check_integer(n_max, "N", 1)
     children = np.random.SeedSequence(seed).spawn(n_max)
     ests = [
         mc_spherical(graph, data, x, f, n, samples, child, inverse=inverse)
@@ -747,7 +744,7 @@ def random_geodesic_average(
     over each block of ``_BLOCK`` steps, summed on its own; the block's last
     state carries into the next, so the working arrays stay small.
     """
-    _check_length(n_max)
+    check_integer(n_max, "N", 1)
     graph = model.graph
     d = graph.system.dim
     x_col, carry = _walk_start(x, d, inverse)

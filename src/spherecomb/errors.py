@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule of its integer arguments."""
+
+import numbers
+
+
+def check_integer(value, role: str, least: int | None = 0) -> None:
+    """The check of every vertex, edge-index and size argument of the package.
+
+    The value must be an integer (numpy integers too, but no bool and no
+    float, integral or not) and, unless ``least`` is None, at least ``least``;
+    else ``ValueError`` names the role.
+    """
+    # an int passes at once: the Integral check is an ABC lookup, slow per edge or step
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+        raise ValueError(f"{role} {value!r} is not an integer")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{role} must be {bound}")
 
 
 class SpherecombError(Exception):

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import spectral
 from .combing import GraphStructure, _backward_counts, enumerate_paths
-from .errors import SmallGrowthVertexError, SpherecombError
+from .errors import SmallGrowthVertexError, SpherecombError, check_integer
 
 _ROW_SUM_TOL = 1e-12
 _WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
@@ -161,23 +161,21 @@ class SampledPath:
 def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = None) -> float:
     """Cylinder mass q_i p_j / lambda^n of a path from i to j with n edges.
 
-    The empty path needs an explicit ``start``; its weight is pi_start.  The
-    path is walked by ``GraphStructure.path_vertices``, which rejects an edge
-    index out of range or an edge that does not continue the path.
+    The empty path needs an explicit ``start``; its weight is pi_start.  A
+    path is walked from ``start`` (its first edge's tail by default) by
+    ``GraphStructure.path_vertices``, which rejects a bad or discontinuous edge.
     """
     graph = model.graph
-    graph.check_vertex(start, "start")
     if len(path) == 0:
         if start is None:
             raise ValueError("empty path: pass the start vertex explicitly")
+        graph.check_vertex(start, "start")
         return model.pi[start]
-    first = path[0]
-    # an edge index out of range leaves i at start, and path_vertices rejects it
-    i = graph.edges[first].src if 0 <= first < len(graph.edges) else start
-    if start is not None and start != i:
-        raise ValueError(f"path starts at {i}, not {start}")
-    j = graph.path_vertices(i, path)[-1]
-    return model.q[i] * model.p[j] / model.lam ** len(path)
+    if start is None:  # for an index that is no edge, any vertex: path_vertices rejects it
+        first = path[0]
+        start = graph.edges[int(first)].src if first in range(len(graph.edges)) else graph.initial
+    j = graph.path_vertices(start, path)[-1]
+    return model.q[start] * model.p[j] / model.lam ** len(path)
 
 
 def _edge_blocks(
@@ -240,8 +238,7 @@ def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> Samp
 
     Its vertices are what sample_vertex_walk gives for the same seed.
     """
-    if length < 0:
-        raise ValueError("walk length must be nonnegative")
+    check_integer(length, "walk length")
     rng = np.random.default_rng(seed)
     v = model.start_vertex(start, rng)
     taken: list[int] = []
@@ -258,8 +255,7 @@ def sample_vertex_walk(
     The walk is filled one block of edges at a time, gathering their end
     vertices, so no edge array for the whole trajectory is built.
     """
-    if length < 0:
-        raise ValueError("walk length must be nonnegative")
+    check_integer(length, "walk length")
     rng = np.random.default_rng(seed)
     v = model.start_vertex(start, rng)
     walk = np.empty(length + 1, dtype=np.int32)
@@ -282,6 +278,7 @@ class ReturnTimeRecord:
 
     def t(self, n: int) -> int:
         """T_j(N): how many visits happen by time N inclusive."""
+        check_integer(n, "time")
         if n > self.length:
             raise ValueError(f"trajectory has length {self.length} < {n}")
         return bisect_right(self.returns, n)
@@ -293,13 +290,15 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
     Accepts a SampledPath or a raw vertex sequence (position 0 = start, which
     never counts as a return).  The target is range-checked against a
     SampledPath's graph; a raw walk carries no graph, so there only a
-    negative target is rejected.
+    target that is no integer or is negative is rejected.
     """
     if isinstance(walk, SampledPath):
         walk.graph.check_vertex(target, "target")
         walk = walk.vertices
-    elif target < 0:
-        raise ValueError(f"target vertex {target} is negative")
+    else:
+        check_integer(target, "target vertex", None)
+        if target < 0:
+            raise ValueError(f"target vertex {target} is negative")
     arr = np.asarray(walk)
     # Python ints via tolist(); the index array is freed before the tuple is
     # built, which keeps the peak memory of long walks down
@@ -349,8 +348,7 @@ def prefix_distribution(
     graph: GraphStructure, data: spectral.SpectralData, r: int
 ) -> PrefixDistribution:
     """Length-r prefix masses e_i A_inf 1 / (e_0 A^r A_inf 1), i the end vertex."""
-    if not 0 <= r:
-        raise ValueError("prefix length must be nonnegative")
+    check_integer(r, "prefix length")
     right = data.a_inf @ np.ones(graph.n_vertices)
     large = data.classification.large_growth
     right = np.array([x if big else 0.0 for x, big in zip(right, large)])
@@ -547,8 +545,7 @@ class LambdaPrime:
         suffix draws, when the suffix has no continuation or more than 2**63
         of them, which ``rng.integers`` cannot draw.
         """
-        if count < 0:
-            raise ValueError("sample count must be nonnegative")
+        check_integer(count, "sample count")
         rng = np.random.default_rng(seed)
         length = self.n - self.r
         counts = self._counts[length]
@@ -603,8 +600,7 @@ class LambdaPrime:
 
 def lambda_prime(graph: GraphStructure, data: spectral.SpectralData, n: int) -> LambdaPrime:
     """The prefix-then-uniform measure on length-n paths from the start vertex."""
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
+    check_integer(n, "path length")
     r = n % data.p_star
     return LambdaPrime(
         graph=graph, n=n, r=r, prefix=prefix_distribution(graph, data, r)

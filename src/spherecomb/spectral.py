@@ -30,6 +30,7 @@ from .errors import (
     NilpotentMatrixError,
     NotAlmostSemisimpleError,
     SpherecombError,
+    check_integer,
 )
 
 if TYPE_CHECKING:
@@ -222,6 +223,7 @@ def a_infinity(a: np.ndarray, p_star: int, lam: float) -> np.ndarray:
     writes B @ B0 into one and |B - B @ B0| over the old B in the other.
     """
     a = _check_matrix(a)
+    check_integer(p_star, "p_star", 1)
     if lam <= 0:
         raise NilpotentMatrixError("leading eigenvalue is zero; A^n/lambda^n is undefined")
     b0 = np.linalg.matrix_power(a.astype(float) / lam, p_star)

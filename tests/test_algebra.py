@@ -1,6 +1,7 @@
 """Exact integer matrix and fixed-point torus arithmetic."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -160,3 +161,37 @@ def test_generator_system_rejects_non_unimodular():
 def test_word_matrix_empty_is_identity():
     system = sanov_system()
     assert system.word_matrix(()) == GroupMatrix.identity(2)
+
+
+_I2, _I3 = GroupMatrix.identity(2), GroupMatrix.identity(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GroupMatrix(()), DimensionMismatchError, "matrix must have at least one row"),
+        (lambda: torus_act(_I3, TorusPoint.zero(2)), DimensionMismatchError,
+         "matrix dim 3 vs point dim 2"),
+        (lambda: phase64((1, 0, 0), TorusPoint.zero(2)), DimensionMismatchError,
+         "frequency dim 3 vs point dim 2"),
+        (lambda: GeneratorSystem(("a", "b"), (_I2,), ("b", "a")), DimensionMismatchError,
+         "labels, matrices, inverse_labels must have equal length"),
+        (lambda: GeneratorSystem(("a", "a"), (_I2, _I2), ("a", "a")), ValueError,
+         "duplicate labels in ('a', 'a')"),
+        (lambda: GeneratorSystem(("a", "b"), (_I2, _I3), ("a", "b")), DimensionMismatchError,
+         "generator 'b' has dim 3, expected 2"),
+        (lambda: GeneratorSystem(("a",), (_I2,), ("z",)), UnknownLabelError,
+         "inverse label 'z' of 'a' is not a generator"),
+        (lambda: GeneratorSystem(("a", "A", "b"), (_I2,) * 3, ("A", "b", "a")), ValueError,
+         "inversion pairing is not an involution at 'a'"),
+        (lambda: sanov_system().inverse_of("z"), UnknownLabelError,
+         "unknown generator label 'z'"),
+    ],
+    ids=[
+        "no-rows", "torus-act-dims", "phase-dims", "unequal-lengths", "duplicate-labels",
+        "mixed-dims", "unknown-inverse", "not-an-involution", "unknown-label",
+    ],
+)
+def test_invalid_matrices_points_and_generator_systems_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,4 +1,4 @@
-"""The package's public surface: its export list and the vertex rule of every entry."""
+"""The package's public surface: its export list and the integer rule of every entry."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,34 @@ from spherecomb import (
     MarkovModel,
     TestFunction,
     TorusPoint,
+    a_infinity,
+    build_cone_type_combing,
+    build_markov,
+    cesaro_average,
     count_paths,
     enumerate_paths,
     kappa_average,
+    lambda_prime,
+    markov_cesaro,
+    mc_series,
+    mc_spherical,
     orbit_tables,
+    p_step,
     path_weight,
+    prefix_distribution,
+    random_geodesic_average,
     restrict,
+    return_times,
     sample_path,
+    sample_vertex_walk,
+    sphere_counts,
+    sphere_series,
+    spherical_average,
+    sqrt_fix64,
+    transition_matrix,
+    verify_geodesic,
 )
+from spherecomb.combing import cayley_ball
 from conftest import sanov_system
 
 
@@ -89,3 +110,88 @@ def test_every_vertex_argument_is_range_checked_one_way(graph):
                 call(v)
     with pytest.raises(ValueError, match="^graph needs a start vertex$"):
         GraphStructure(graph.system, nv, None, graph.edges)
+
+
+_NOT_INTEGERS = (1.5, 2.0, "1", True)
+
+
+def _not_an_integer(role, v):
+    return f"^{role} {re.escape(repr(v))} is not an integer$"
+
+
+def test_every_size_argument_is_checked_by_the_one_integer_rule(free2, free2_data):
+    g, data, x = free2.graph, free2_data, free2.basepoint
+    f = TestFunction.character((1, 0))
+    model = build_markov(g, data)
+    lp = lambda_prime(g, data, 3)
+    record = return_times([0, 1, 2, 1], 1)
+    # (role, least, call): the smallest size the call takes, and its range message is the owner's
+    sizes = [
+        ("radicand", 0, sqrt_fix64),
+        ("radius", 0, lambda v: cayley_ball(g.system, v)),
+        ("radius", 0, lambda v: verify_geodesic(g, v)),
+        ("lookahead", 1, lambda v: build_cone_type_combing(g.system, 5, v)),
+        ("length", 0, lambda v: count_paths(g, 0, v)),
+        ("length", 0, lambda v: sphere_counts(g, v)),
+        ("length", 0, lambda v: next(enumerate_paths(g, 0, v))),
+        ("p", 1, lambda v: p_step(g, v)),
+        ("p_star", 1, lambda v: a_infinity(transition_matrix(g), v, data.lam)),
+        ("length", 0, lambda v: orbit_tables(g, x, v)),
+        ("length", 0, lambda v: spherical_average(g, x, f, v)),
+        ("N", 1, lambda v: sphere_series(g, x, f, v)),
+        ("N", 1, lambda v: cesaro_average(g, x, f, v)),
+        ("N", 1, lambda v: kappa_average(g, x, f, v)),
+        ("N", 1, lambda v: markov_cesaro(model, x, f, v, 1, 1)),
+        ("N", 1, lambda v: mc_series(g, data, x, f, v, 10, 0)),
+        ("N", 1, lambda v: random_geodesic_average(model, x, f, v, 0)),
+        ("samples", 1, lambda v: mc_spherical(g, data, x, f, 2, v, 0)),
+        ("samples", 1, lambda v: mc_series(g, data, x, f, 2, v, 0)),
+        ("walk length", 0, lambda v: sample_path(model, 1, v, 0)),
+        ("walk length", 0, lambda v: sample_vertex_walk(model, 1, v, 0)),
+        ("prefix length", 0, lambda v: prefix_distribution(g, data, v)),
+        ("path length", 0, lambda v: lambda_prime(g, data, v)),
+        ("sample count", 0, lambda v: lp.sample_many(0, v)),
+        ("time", 0, record.t),
+    ]
+    for role, least, call in sizes:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        with pytest.raises(ValueError, match=f"^{role} must be {bound}$"):
+            call(least - 1)
+        for v in _NOT_INTEGERS:
+            with pytest.raises(ValueError, match=_not_an_integer(role, v)):
+                call(v)
+    # two sizes keep the range message that their callers know; the type check is the owner's
+    pinned = [
+        ("vertex count", 0, "graph needs at least one vertex",
+         lambda v: GraphStructure(g.system, v, 0, ())),
+        ("target vertex", -1, "target vertex -1 is negative", lambda v: return_times([0, 1], v)),
+    ]
+    for role, below, message, call in pinned:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(below)
+        for v in _NOT_INTEGERS:
+            with pytest.raises(ValueError, match=_not_an_integer(role, v)):
+                call(v)
+    # a vertex that must be given refuses None by the same rule
+    required = [
+        ("start", lambda: model.start_vertex(None, np.random.default_rng(0))),
+        ("start", lambda: sample_path(model, None, 2, 0)),
+        ("start", lambda: markov_cesaro(model, x, f, 2, None, 1)),
+        ("end", lambda: markov_cesaro(model, x, f, 2, 1, None)),
+        ("source", lambda: next(enumerate_paths(g, None, 2))),
+        ("start", lambda: g.path_vertices(None, ())),
+    ]
+    for role, call in required:
+        with pytest.raises(ValueError, match=f"^{role} vertex None is not an integer$"):
+            call()
+    for v in _NOT_INTEGERS:  # True is no vertex 1, which the kept set holds
+        with pytest.raises(ValueError, match=_not_an_integer("initial vertex", v)):
+            restrict(g, [0, 1], new_initial=v)
+    for call in (lambda: g.path_vertices(1, (4.0,)), lambda: path_weight(model, (4.0,))):
+        with pytest.raises(ValueError, match=_not_an_integer("edge", 4.0)):
+            call()
+    # a fractional length used to send the depth-first search down until memory ran out
+    with pytest.raises(ValueError, match=_not_an_integer("length", 0.5)):
+        next(enumerate_paths(g, 0, 0.5))
+    with pytest.raises(ValueError, match=_not_an_integer("path length", 2.5)):
+        lambda_prime(g, data, 2.5)

@@ -772,3 +772,38 @@ def test_config_file_matches_flags_byte_for_byte(tmp_path, capsys, command):
 def test_config_integers_as_strings_or_floats_match_flags(tmp_path, capsys, command, spell):
     reports = _config_and_flag_reports(tmp_path, capsys, command, spell)
     assert reports[0] == reports[1]
+
+
+def test_python_m_spherecomb_prints_the_spheres_and_one_error_line(capsys):
+    code, out, _ = run_cli(capsys, "spheres", "--n-max", "3")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    ok, bad = (
+        subprocess.run(
+            [sys.executable, "-m", "spherecomb", "spheres", "--n-max", n],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for n in ("3", "-1")
+    )
+    assert (code, ok.returncode, ok.stdout) == (0, 0, out)
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, "", "error: length must be nonnegative\n")
+
+
+def test_auto_mode_runs_the_exact_series_up_to_its_budget(capsys):
+    # free2_sanov has 1 + 4 + 12 + 36 = 53 paths of length at most 3
+    argv = ["equidist", "--n-max", "3", "--samples", "20", "--seed", "1"]
+    code, exact, _ = run_cli(capsys, *argv, "--mode", "exact", "--budget", "53")
+    assert code == 0
+    for budget, mode in (("53", "exact"), ("52", "mc")):
+        code, out, _ = run_cli(capsys, *argv, "--mode", "auto", "--budget", budget)
+        assert code == 0
+        assert {row["mode"] for row in csv.DictReader(io.StringIO(out))} == {mode}
+        if mode == "exact":
+            assert out == exact
+    code, out, err = run_cli(capsys, *argv, "--mode", "exact", "--budget", "52")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: enumeration needs 53 nodes, budget is 52; "
+        "switch to Monte Carlo mode or raise the budget\n"
+    )

@@ -739,3 +739,31 @@ def test_graph_structure_validation(sanov):
         GraphStructure(sanov, 2, 0, (Edge(0, 1, ()),))
     with pytest.raises(Exception):
         GraphStructure(sanov, 2, 0, (Edge(0, 1, ("nope",)),))
+
+
+def test_restrict_to_no_vertex_raises(free2_graph):
+    with pytest.raises(ValueError, match="^restriction to an empty vertex set$"):
+        restrict(free2_graph, [])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (None, "not valid JSON: "),
+        (lambda gen: gen.pop("matrix"), "generator 0 is missing 'matrix'"),
+        (lambda gen: gen.update(matrix=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+         "generator 'a' has dimension 3, file says 2"),
+    ],
+    ids=["not-json", "no-matrix", "matrix-size"],
+)
+def test_load_rejects_broken_json_and_generators(tmp_path, free2_graph, edit, message):
+    path = tmp_path / "auto.json"
+    save_automaton(free2_graph, path)
+    if edit is None:
+        path.write_text("{")
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc["generators"][0])
+        path.write_text(json.dumps(doc))
+    with pytest.raises(AutomatonFormatError, match="^" + re.escape(message)):
+        load_automaton(path)

@@ -51,7 +51,7 @@ from spherecomb import (
 )
 from spherecomb.algebra import MASK
 from spherecomb import equidist
-from spherecomb.errors import BudgetExceededError, DimensionMismatchError
+from spherecomb.errors import BudgetExceededError, DimensionMismatchError, SpherecombError
 from conftest import dyadic_orbit_counts, reduced_words
 
 
@@ -1151,3 +1151,19 @@ def test_kappa_shared_suffix_pass_equals_per_start_orbit_tables(data):
     for n in range(1, n_max + 1):
         acc += sums[n] / sum(count_paths(graph, v, n) for v in range(graph.n_vertices))
     assert repr(res.value) == repr(acc / n_max)
+
+
+def test_averages_need_a_path_of_every_length(free2_data, x2):
+    # one edge 0 -> 1 and no cycle: no path has length 2
+    graph = GraphStructure(preset("free2_sanov").system, 2, 0, (Edge(0, 1, ("a",)),))
+    f = TestFunction.character((1, 0))
+    with pytest.raises(SpherecombError, match="^no paths of length 2 from the start vertex$"):
+        sphere_series(graph, x2, f, 2)
+    # spectral data of another graph: the walk stops before it is read
+    with pytest.raises(SpherecombError, match="^no paths of length 2 at all$"):
+        kappa_average(graph, x2, f, 2, data=free2_data)
+
+
+def test_sphere_series_of_the_empty_function_is_zero(free2_graph, x2):
+    rep = sphere_series(free2_graph, x2, TestFunction(()), 4)
+    assert rep.spherical == rep.cesaro == (0j,) * 4

@@ -845,3 +845,39 @@ def test_vertex_walk_memory_is_bounded(free2_model):
         tracemalloc.stop()
     assert walk.shape == (10**6 + 1,)
     assert peak <= 6 * 2**20
+
+
+def test_path_weight_needs_a_start_that_the_path_leaves_from(free2_model, free2_graph):
+    with pytest.raises(ValueError, match="^empty path: pass the start vertex explicitly$"):
+        path_weight(free2_model, ())
+    assert free2_graph.edges[4].src == 1
+    with pytest.raises(ValueError, match="^edge 4 does not continue the path at vertex 2$"):
+        path_weight(free2_model, (4,), start=2)
+
+
+def test_return_time_count_past_the_walk_raises():
+    record = return_times([0, 1, 2, 1], 1)
+    assert record.t(3) == 2
+    with pytest.raises(ValueError, match="^trajectory has length 3 < 4$"):
+        record.t(4)
+
+
+def test_a_prefix_of_zero_mass_has_zero_probability():
+    # {0, 1} is the maximal component (radius 2, period 2); vertex 2 has small growth
+    edges = [Edge(0, 1, (s,)) for s in "ab"] + [Edge(1, 0, (s,)) for s in "ab"]
+    edges += [Edge(0, 2, ("B",)), Edge(2, 2, ("b",))]
+    graph = GraphStructure(sanov_system(), 3, 0, tuple(edges))
+    data = perron_data(transition_matrix(graph))
+    lp = lambda_prime(graph, data, 1)
+    assert (data.p_star, lp.r) == (2, 1)
+    assert lp.prob((4,)) == 0.0
+    assert lp.prob((0,)) == lp.prob((1,)) == 0.5
+
+
+def test_tv_to_counting_needs_a_path_of_length_n():
+    # built directly: lambda_prime finds no prefix mass on a graph with no cycle
+    graph = GraphStructure(sanov_system(), 2, 0, (Edge(0, 1, ("a",)),))
+    prefix = PrefixDistribution(r=0, paths=((),), probs=(1.0,))
+    lp = LambdaPrime(graph=graph, n=2, r=0, prefix=prefix)
+    with pytest.raises(SpherecombError, match="^no paths of length 2 from the start vertex$"):
+        lp.tv_to_counting()

@@ -142,3 +142,8 @@ def test_unknown_preset_lists_names():
     with pytest.raises(SpherecombError) as exc:
         preset("wat")
     assert "free2_sanov" in str(exc.value)
+
+
+def test_user_preset_without_a_path_says_so():
+    with pytest.raises(SpherecombError, match="^user preset needs a path: user:<file.json>$"):
+        preset("user:")

@@ -477,3 +477,21 @@ def test_a_infinity_in_two_buffers_equals_the_fresh_array_loop(seed, p_star, k):
     assert cls.p_star == p_star
     got = a_infinity(a, p_star, cls.lam)
     assert got.tobytes() == _a_infinity_fresh_arrays(a, p_star, cls.lam).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.zeros((2, 3), dtype=np.int64), r"^transition matrix must be square, got shape \(2, 3\)$"),
+        (np.array([[1, -1], [0, 1]]), "^transition matrix entries must be nonnegative$"),
+    ],
+    ids=["not-square", "negative-entry"],
+)
+def test_transition_matrices_must_be_square_and_nonnegative(a, message):
+    with pytest.raises(ValueError, match=message):
+        classify(a)
+
+
+def test_a_infinity_needs_a_positive_eigenvalue():
+    with pytest.raises(NilpotentMatrixError, match="^leading eigenvalue is zero; "):
+        a_infinity(np.array([[0, 1], [0, 0]]), 1, 0.0)
