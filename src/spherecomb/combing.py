@@ -309,12 +309,20 @@ def enumerate_paths(
     """All length-n paths from source, as tuples of edge indices, in DFS edge order.
 
     Paths are generated lazily, one depth-first descent at a time, so memory
-    stays O(n) however many paths there are.
+    stays O(n) however many paths there are.  The arguments are checked at
+    the call, before the first path is asked for.
     """
     check_integer(length, "length")
     graph.check_vertex(source, "source")
     if target is not None:
         graph.check_vertex(target, "target")
+    return _paths(graph, source, length, target)
+
+
+def _paths(
+    graph: GraphStructure, source: int, length: int, target: int | None
+) -> Iterator[tuple[int, ...]]:
+    """The depth-first descent of ``enumerate_paths``, on checked arguments."""
     if length == 0:
         if target is None or source == target:
             yield ()

@@ -29,7 +29,7 @@ on the chunks.
 
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  Monte Carlo
-draws each level's paths by one ``LambdaPrime.sample_many`` call, a ray its
+draws each level's paths by one ``LambdaPrime.sample_array`` call, a ray its
 edges by one ``sample_path`` call.  Both then right-multiply the same uint64
 states on whole arrays: Monte Carlo advances every sample one edge position
 at a time, and a ray takes the prefix products of its R_e by a doubling scan.
@@ -663,18 +663,16 @@ def mc_spherical(
 
     For p* = 1 the sampling measure is exactly uniform counting measure, so
     this estimates the exact spherical average without bias.  The paths are
-    drawn by one ``sample_many`` call (the paths of ``samples`` calls of
-    ``sample``); then all samples advance together, one edge position at a
-    time in path order, each state right-multiplied by its edge's R_e as one
-    batched uint64 product.
+    drawn as one (samples, n) array by ``sample_array`` (the paths of
+    ``samples`` calls of ``sample``); then all samples advance together, one
+    edge position at a time in path order, each state right-multiplied by
+    its edge's R_e as one batched uint64 product.
     """
     check_integer(samples, "samples", 1)
     d = graph.system.dim
     x_col, state = _walk_start(x, d, inverse)
     lp = markov_mod.lambda_prime(graph, data, n)
-    rng = np.random.default_rng(seed)
-    paths = np.array(lp.sample_many(rng, samples), dtype=np.intp)
-    paths = paths.reshape(samples, n)
+    paths = lp.sample_array(seed, samples)
     acts = _edge_actions(graph, inverse)
     states = np.tile(state, (samples, 1, 1))
     for i in range(n):

@@ -19,15 +19,20 @@ and every preset has V <= 5.
 Also here: the length-r prefix distribution harvested from A_inf, and the
 prefix-then-uniform path measure it induces (an explicit approximation to
 uniform counting measure) with its exact total variation distance to
-counting measure.  Those samplers draw by one ``bisect_right`` over cached
-running totals (``itertools.accumulate``) of prefix masses, or of the exact
-path counts of a uniform suffix's continuations.
-``LambdaPrime.sample_many`` draws a batch of such paths in one loop.  Where
-the bit generator buffers half a word (PCG64, the default, and its kin), it
-runs numpy's reduction of bit-generator words to ``random()`` and
-``integers`` draws itself, on words read in blocks; MT19937 and other
-unbuffered generators draw by numpy's own calls.  Either way it gives the
-paths and leaves the generator state of one numpy call per draw.
+counting measure.  A sample takes one ``random()`` draw for its prefix and
+one ``integers`` draw per suffix edge, below the exact path count of the
+continuations; ``LambdaPrime.sample_many`` and ``sample_array`` give the
+paths, and leave the generator state, of one numpy call per draw.  Where the
+bit generator buffers half a word (PCG64, the default, and its kin) and
+every sample draws at the same edge positions with fewer than 2**32
+continuations, batches of at least 64 samples are drawn together, one edge
+position at a time: one ``random_raw`` call gives every word of a batch, and
+numpy's reduction of words to bounded integers (Lemire, ACM TOMACS 2019) runs
+on whole columns of them.  A sample with a draw numpy would reject is drawn
+again by the per-sample loop, as is everything else: MT19937 (by numpy's own
+calls), 2**32 or more continuations, mixed draw schedules, small counts and
+samples that raise.  The loop bisects cached running totals
+(``itertools.accumulate``) of prefix masses and of path counts.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ _ROW_SUM_TOL = 1e-12
 _WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
 _WORD_BLOCK = 1 << 12  # suffix-draw words per block; keeps each block small
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
+_MIN_BATCH = 64  # the fewest samples per batch of suffix draws; fewer are drawn by the loop
 
 
 @dataclass(frozen=True)
@@ -268,20 +274,39 @@ def sample_vertex_walk(
     return walk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnTimeRecord:
-    """Visit times R(1) < R(2) < ... of a chain trajectory to one vertex."""
+    """Visit times R(1) < R(2) < ... of a chain trajectory to one vertex.
+
+    ``hits`` holds them as an index array; ``returns`` gives them as a tuple
+    of Python ints, built when first read.  Records are equal when their
+    targets, lengths and visit times are.
+    """
 
     target: int
     length: int
-    returns: tuple[int, ...]
+    hits: np.ndarray
+
+    @cached_property
+    def returns(self) -> tuple[int, ...]:
+        return tuple(self.hits.tolist())
 
     def t(self, n: int) -> int:
         """T_j(N): how many visits happen by time N inclusive."""
         check_integer(n, "time")
         if n > self.length:
             raise ValueError(f"trajectory has length {self.length} < {n}")
-        return bisect_right(self.returns, n)
+        return int(np.searchsorted(self.hits, n, side="right"))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReturnTimeRecord):
+            return NotImplemented
+        return (self.target, self.length) == (other.target, other.length) and np.array_equal(
+            self.hits, other.hits
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.length, len(self.hits)))
 
 
 def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) -> ReturnTimeRecord:
@@ -300,10 +325,9 @@ def return_times(walk: SampledPath | np.ndarray | Sequence[int], target: int) ->
         if target < 0:
             raise ValueError(f"target vertex {target} is negative")
     arr = np.asarray(walk)
-    # Python ints via tolist(); the index array is freed before the tuple is
-    # built, which keeps the peak memory of long walks down
-    hits = (np.nonzero(arr[1:] == target)[0] + 1).tolist()
-    return ReturnTimeRecord(target=target, length=len(arr) - 1, returns=tuple(hits))
+    hits = np.flatnonzero(arr[1:] == target)
+    hits += 1
+    return ReturnTimeRecord(target=target, length=len(arr) - 1, hits=hits)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +345,15 @@ class PrefixDistribution:
     r: int
     paths: tuple[tuple[int, ...], ...]
     probs: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.paths:
+            raise ValueError("prefix distribution needs at least one path")
+        if len(self.probs) != len(self.paths):
+            raise ValueError(f"{len(self.probs)} masses for {len(self.paths)} prefixes")
+        for path in self.paths:
+            if len(path) != self.r:
+                raise ValueError(f"prefix {path} does not have length r = {self.r}")
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -483,6 +516,31 @@ def _words(rng: np.random.Generator, size: int) -> _Words | _BlockWords:
 
 
 @dataclass(frozen=True)
+class _Batch:
+    """Tables of the batched suffix draw: every sample of a batch advances together.
+
+    ``steps`` holds one entry per suffix edge position.  A drawing step is
+    (total, limit, keys, edges): per vertex its continuation count and
+    numpy's rejection limit (2**32 - total) % total; then, vertex by vertex,
+    v * 2**32 plus each running total of v's out-edges, and those edges.
+    The keys are sorted, so the number of keys <= v * 2**32 + rank is the
+    position of the edge whose running total first exceeds the rank.  At a
+    step where every vertex has one continuation the entry is
+    (None, None, None, edge): per vertex the edge taken with no draw.
+    ``cap`` is the largest batch whose expected number of rejections is at
+    most one.
+    """
+
+    cum: np.ndarray  # the prefixes' running masses
+    prefixes: np.ndarray  # (P, r) edges of each prefix
+    ends: np.ndarray  # the vertex each prefix ends at
+    dst: np.ndarray
+    steps: tuple
+    draws: int  # 32-bit draws per sample
+    cap: int
+
+
+@dataclass(frozen=True)
 class LambdaPrime:
     """Prefix-then-uniform measure on length-n paths from the start.
 
@@ -497,6 +555,12 @@ class LambdaPrime:
     r: int
     prefix: PrefixDistribution
 
+    def __post_init__(self):
+        if self.r != self.prefix.r:
+            raise ValueError(f"prefix length r = {self.r}, but the prefixes have r = {self.prefix.r}")
+        if self.r > self.n:
+            raise ValueError(f"prefix length r = {self.r} exceeds the path length n = {self.n}")
+
     @cached_property
     def _counts(self) -> list[list[int]]:
         return _backward_counts(self.graph, self.n)
@@ -509,6 +573,72 @@ class LambdaPrime:
             tuple(tuple(accumulate(c[h] for h in hs)) for hs in heads)
             for c in self._counts[: self.n - self.r]
         ]
+
+    @cached_property
+    def _batch(self) -> _Batch | None:
+        """The batch tables, or None where samples could take different numbers of draws.
+
+        Every prefix end needs 1 .. 2**32 - 1 continuations (so no sample
+        raises, and each draw takes one 32-bit word unless rejected), and at
+        each step the vertices a sample can reach (forward from the prefix
+        ends, through heads with continuations) must all draw (total >= 2)
+        or all not (total 1).
+        """
+        graph = self.graph
+        counts = self._counts
+        length = self.n - self.r
+        ends = [graph.edges[p[-1]].dst if p else graph.initial for p in self.prefix.paths]
+        if not all(0 < counts[length][v] < 1 << 32 for v in ends):
+            return None
+        nv = graph.n_vertices
+        out = graph.out_edges
+        dst = [e.dst for e in graph.edges]
+        reach = set(ends)
+        steps = []
+        spread = 0  # the largest rejection limit at each step, summed over the steps
+        for rem in range(length, 0, -1):
+            cum = self._cum_counts[rem - 1]
+            drawing = {cum[v][-1] > 1 for v in reach}
+            if len(drawing) > 1:
+                return None
+            if drawing == {True}:
+                total = np.ones(nv, dtype=np.uint64)
+                limit = np.zeros(nv, dtype=np.uint64)
+                keys, edges = [], []
+                for v in sorted(reach):
+                    total[v] = cum[v][-1]
+                    limit[v] = ((1 << 32) - cum[v][-1]) % cum[v][-1]
+                    keys += [(v << 32) + c for c in cum[v]]
+                    edges += out[v]
+                spread += int(limit.max())
+                steps.append((total, limit, np.array(keys, dtype=np.uint64),
+                              np.array(edges, dtype=np.intp)))
+            else:
+                edge = np.zeros(nv, dtype=np.intp)
+                for v in reach:
+                    edge[v] = out[v][bisect_right(cum[v], 0)]
+                steps.append((None, None, None, edge))
+            reach = {dst[ei] for v in reach for ei in out[v] if counts[rem - 1][dst[ei]]}
+        return _Batch(
+            cum=np.array(self.prefix._cum, dtype=np.float64),
+            prefixes=np.array(self.prefix.paths, dtype=np.intp).reshape(len(ends), self.r),
+            ends=np.array(ends, dtype=np.intp),
+            dst=np.array(dst, dtype=np.intp),
+            steps=tuple(steps),
+            draws=sum(step[0] is not None for step in steps),
+            cap=(1 << 32) // spread if spread else 1 << 62,
+        )
+
+    def _batch_size(self, state: dict, count: int) -> int:
+        """Samples per batch, or 0 where the per-sample loop draws instead.
+
+        The batch needs a bit generator that buffers half a word, tables
+        (``_batch``), and at least ``_MIN_BATCH`` samples per batch.
+        """
+        if count < _MIN_BATCH or "has_uint32" not in state or self._batch is None:
+            return 0
+        size = min(count, self._batch.cap)
+        return size if size >= _MIN_BATCH else 0
 
     def prob(self, path: tuple[int, ...]) -> float:
         """Mass of a path; 0.0 for a length other than n or a prefix of zero mass.
@@ -533,48 +663,156 @@ class LambdaPrime:
         """``count`` paths drawn in turn, each a prefix and then a uniform suffix.
 
         The prefix takes one ``rng.random()`` draw; each suffix edge takes one
-        ``rng.integers`` draw below its vertex's continuation count, and one
-        bisect.  Where the bit generator buffers half a word, the draws run
-        numpy's own reduction on its words, read in blocks of at most
-        _WORD_BLOCK; MT19937 and other unbuffered generators draw by numpy's
-        own calls (``_words``).  So the paths, and the state a Generator
-        passed in is left in, are those of one numpy call per draw, also when
-        a sample raises.
+        ``rng.integers`` draw below its vertex's continuation count.  The
+        paths, and the state a Generator passed in is left in, are those of
+        one numpy call per draw, also when a sample raises.
+
+        Where the bit generator buffers half a word (PCG64, the default,
+        PCG64DXSM, SFC64, Philox) and every sample draws at the same steps
+        (``_batch``), batches of at least ``_MIN_BATCH`` samples are drawn
+        together, one edge position at a time, from one ``random_raw`` call
+        each; a sample whose draw numpy would reject, and redraw, is drawn
+        again by the loop, and the batch resumes after it.  Otherwise (MT19937,
+        2**32 or more continuations, mixed draw schedules, small counts or a
+        sample that raises) the per-sample loop draws: a bisect per edge, on
+        numpy's reduction of words read in blocks of at most _WORD_BLOCK, or
+        by numpy's own calls where no half word is buffered (``_words``).
 
         Raises ``SpherecombError`` after a sample's prefix draw, before its
         suffix draws, when the suffix has no continuation or more than 2**63
         of them, which ``rng.integers`` cannot draw.
         """
         check_integer(count, "sample count")
-        rng = np.random.default_rng(seed)
+        paths: list[tuple[int, ...]] = []
+        for part in self._draw(np.random.default_rng(seed), count):
+            paths += part if isinstance(part, list) else map(tuple, part.tolist())
+        return paths
+
+    def sample_array(self, seed, count: int) -> np.ndarray:
+        """The paths of ``sample_many(seed, count)`` as a (count, n) intp array."""
+        check_integer(count, "sample count")
+        paths = np.empty((count, self.n), dtype=np.intp)
+        done = 0
+        for part in self._draw(np.random.default_rng(seed), count):
+            paths[done : done + len(part)] = np.reshape(part, (len(part), self.n))
+            done += len(part)
+        return paths
+
+    def _draw(self, rng: np.random.Generator, count: int) -> Iterator[list | np.ndarray]:
+        """The paths of ``count`` samples in order: lists of loop-drawn tuples and batch arrays.
+
+        A batch of b samples, each making one ``random()`` and s 32-bit
+        draws, takes b + ceil((b s - h) / 2) words, h the buffered-half flag:
+        sample i's ``random()`` word is word i + ceil((i s - h) / 2), and the
+        q-th word split into halves (low half first) is word
+        q + (2 q + h) // s + 1, after the buffered half if h.
+        """
+        bg = rng.bit_generator
+        state = bg.state
+        size = self._batch_size(state, count)
+        if not size:
+            words = _words(rng, min(_WORD_BLOCK, count * (self.n - self.r + 1)))
+            try:
+                yield self._loop(words, count)
+            finally:
+                words.close()
+            return
+        batch = self._batch
+        s = batch.draws
+        h, half = state["has_uint32"], state["uinteger"]
+        done = 0
+        while done < count:
+            b = min(size, count - done)
+            nh = (b * s - h + 1) // 2  # words split into halves
+            raw = bg.random_raw(b + nh)
+            i = np.arange(b)
+            uniforms = (raw[i + (i * s - h + 1) // 2] >> 11) * 2.0**-53
+            q = np.arange(nh)
+            split = raw[q + (2 * q + h) // s + 1] if nh else raw[:0]
+            halves = np.empty(h + 2 * nh, dtype=np.uint64)
+            halves[:h] = half
+            halves[h::2] = split & 0xFFFFFFFF
+            halves[h + 1 :: 2] = split >> 32
+            rows, rejected = self._batch_rows(batch, uniforms, halves[: b * s].reshape(b, s))
+            if not rejected.any():
+                yield rows
+                done += b
+                h, half = (b * s - h) % 2, int(split[-1] >> 32) if nh else half
+                state = bg.state
+                continue
+            k = int(np.argmax(rejected))  # the first sample numpy would redraw
+            if k:
+                yield rows[:k]
+            nk = (k * s - h + 1) // 2
+            bg.state = state
+            bg.random_raw(k + nk)  # back to where sample k starts
+            words = _BlockWords(bg, {
+                "has_uint32": (k * s - h) % 2,
+                "uinteger": int(split[nk - 1] >> 32) if nk else half,
+            }, self.n - self.r + 1)
+            try:
+                yield self._loop(words, 1)
+            finally:
+                words.close()
+            done += k + 1
+            state = bg.state
+            h, half = state["has_uint32"], state["uinteger"]
+        state["has_uint32"], state["uinteger"] = h, half
+        bg.state = state
+
+    def _batch_rows(
+        self, batch: _Batch, uniforms: np.ndarray, halves: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's path, and whether numpy would reject one of its draws.
+
+        A draw below total is m = half * total (exact in uint64, both factors
+        below 2**32): its rank is m >> 32, and it is rejected when the low
+        half of m is below the limit.
+        """
+        pick = np.minimum(np.searchsorted(batch.cum, uniforms, side="right"), len(batch.ends) - 1)
+        rows = np.empty((self.n, len(uniforms)), dtype=np.intp)  # row t: edge t of every sample
+        rows[: self.r] = batch.prefixes[pick].T
+        v = batch.ends[pick]
+        rejected = np.zeros(len(uniforms), dtype=bool)
+        j = 0
+        for t, (total, limit, keys, edges) in enumerate(batch.steps, start=self.r):
+            if total is None:
+                e = edges[v]
+            else:
+                m = halves[:, j] * total[v]
+                j += 1
+                rejected |= (m & 0xFFFFFFFF) < limit[v]
+                e = edges[np.searchsorted(keys, (m >> 32) | (v.astype(np.uint64) << 32), side="right")]
+            rows[t] = e
+            v = batch.dst[e]
+        return rows.T, rejected
+
+    def _loop(self, words: _Words | _BlockWords, count: int) -> list[tuple[int, ...]]:
+        """``count`` paths drawn in turn from ``words``, one bisect per suffix edge."""
         length = self.n - self.r
         counts = self._counts[length]
         cum_counts = self._cum_counts[::-1]
         out = self.graph.out_edges
         dst = [e.dst for e in self.graph.edges]
-        words = _words(rng, min(_WORD_BLOCK, count * (length + 1)))
         below = words.below
         paths = []
-        try:
-            for _ in range(count):
-                path = list(self.prefix._path_at(words.uniform()))
-                v = dst[path[-1]] if path else self.graph.initial
-                total = counts[v]
-                if total == 0:
-                    raise SpherecombError(f"no paths of length {length} from vertex {v}")
-                if total > _MAX_DRAW:  # every later draw is bounded by this first one
-                    raise SpherecombError(
-                        f"length {self.n} is past the sampling limit: {total} paths of length "
-                        f"{length} from vertex {v}, and a uniform draw takes at most 2**63"
-                    )
-                for cum in cum_counts:
-                    row = cum[v]
-                    ei = out[v][bisect_right(row, below(row[-1]))]
-                    path.append(ei)
-                    v = dst[ei]
-                paths.append(tuple(path))
-        finally:
-            words.close()
+        for _ in range(count):
+            path = list(self.prefix._path_at(words.uniform()))
+            v = dst[path[-1]] if path else self.graph.initial
+            total = counts[v]
+            if total == 0:
+                raise SpherecombError(f"no paths of length {length} from vertex {v}")
+            if total > _MAX_DRAW:  # every later draw is bounded by this first one
+                raise SpherecombError(
+                    f"length {self.n} is past the sampling limit: {total} paths of length "
+                    f"{length} from vertex {v}, and a uniform draw takes at most 2**63"
+                )
+            for cum in cum_counts:
+                row = cum[v]
+                ei = out[v][bisect_right(row, below(row[-1]))]
+                path.append(ei)
+                v = dst[ei]
+            paths.append(tuple(path))
         return paths
 
     def tv_to_counting(self) -> float:

@@ -94,6 +94,8 @@ def test_every_vertex_argument_is_range_checked_one_way(graph):
         ("target", lambda v: count_paths(graph, None, 2, target=v)),
         ("source", lambda v: list(enumerate_paths(graph, v, 2))),
         ("target", lambda v: list(enumerate_paths(graph, 0, 2, target=v))),
+        ("source", lambda v: enumerate_paths(graph, v, 2)),
+        ("target", lambda v: enumerate_paths(graph, 0, 2, target=v)),
         ("kept", lambda v: restrict(graph, [graph.initial, v])),
         ("start", lambda v: sample_path(model, v, 2, 0)),
         ("start", lambda v: path_weight(model, (), start=v)),
@@ -134,6 +136,7 @@ def test_every_size_argument_is_checked_by_the_one_integer_rule(free2, free2_dat
         ("length", 0, lambda v: count_paths(g, 0, v)),
         ("length", 0, lambda v: sphere_counts(g, v)),
         ("length", 0, lambda v: next(enumerate_paths(g, 0, v))),
+        ("length", 0, lambda v: enumerate_paths(g, 0, v)),
         ("p", 1, lambda v: p_step(g, v)),
         ("p_star", 1, lambda v: a_infinity(transition_matrix(g), v, data.lam)),
         ("length", 0, lambda v: orbit_tables(g, x, v)),
@@ -151,6 +154,7 @@ def test_every_size_argument_is_checked_by_the_one_integer_rule(free2, free2_dat
         ("prefix length", 0, lambda v: prefix_distribution(g, data, v)),
         ("path length", 0, lambda v: lambda_prime(g, data, v)),
         ("sample count", 0, lambda v: lp.sample_many(0, v)),
+        ("sample count", 0, lambda v: lp.sample_array(0, v)),
         ("time", 0, record.t),
     ]
     for role, least, call in sizes:
@@ -179,6 +183,7 @@ def test_every_size_argument_is_checked_by_the_one_integer_rule(free2, free2_dat
         ("start", lambda: markov_cesaro(model, x, f, 2, None, 1)),
         ("end", lambda: markov_cesaro(model, x, f, 2, 1, None)),
         ("source", lambda: next(enumerate_paths(g, None, 2))),
+        ("source", lambda: enumerate_paths(g, None, 2)),
         ("start", lambda: g.path_vertices(None, ())),
     ]
     for role, call in required:

@@ -32,6 +32,7 @@ from spherecomb import (
 from spherecomb.combing import _backward_counts
 from spherecomb.errors import SmallGrowthVertexError, SpherecombError
 from spherecomb.markov import (
+    _MIN_BATCH,
     _WALK_BLOCK,
     _WORD_BLOCK,
     LambdaPrime,
@@ -718,6 +719,122 @@ def test_sample_many_stops_at_the_two_to_the_63_limit_in_place(bit_generator, n)
         with pytest.raises(ValueError, match="high is out of bounds for int64"):
             _scan_batch(lp, twin, 30)
     _assert_same_place(rng, twin)
+
+
+# ---------------------------------------------------------------------------
+# the batched suffix draw against the linear scans
+
+
+def _loop_counter(monkeypatch):
+    """Counts the samples that ``LambdaPrime._loop`` draws, in a list of one entry."""
+    drawn = [0]
+    loop = LambdaPrime._loop
+
+    def counted(self, words, count):
+        drawn[0] += count
+        return loop(self, words, count)
+
+    monkeypatch.setattr(LambdaPrime, "_loop", counted)
+    return drawn
+
+
+def _dead_end_measure():
+    # vertex 2 has no continuation; vertex 0 draws below 2**(n-1) at its first step
+    edges = (Edge(0, 1, ("a",)), Edge(0, 2, ("b",)), Edge(1, 1, ("a",)), Edge(1, 1, ("b",)))
+    g = GraphStructure(sanov_system(), 3, 0, edges)
+    prefix = PrefixDistribution(r=0, paths=((),), probs=(1.0,))
+    return LambdaPrime(graph=g, n=6, r=0, prefix=prefix)
+
+
+def _preset_measure(name, n):
+    graph = preset(name).graph
+    return lambda_prime(graph, perron_data(transition_matrix(graph)), n)
+
+
+# (measure, count, rejected): every preset level to n = 12 draws its 1,000
+# samples as batches; at n = 15 and 16 on free2_sanov numpy rejects some
+# draws, and those samples go to the loop
+_BATCH_CASES = [
+    *[(name, n, 1000, False) for name in ("free2_sanov", "z_parabolic", "dinf_involutions")
+      for n in (1, 2, 5, 12)],
+    ("free2_sanov", 15, 2000, True),
+    ("free2_sanov", 16, 2500, True),
+    ("dead-end", 6, 200, False),
+]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64])
+@pytest.mark.parametrize("name, n, count, rejected", _BATCH_CASES)
+def test_batched_levels_equal_the_linear_scans(monkeypatch, name, n, count, rejected,
+                                               bit_generator):
+    lp = _dead_end_measure() if name == "dead-end" else _preset_measure(name, n)
+    rng = _odd_buffer_rng(bit_generator, n)
+    assert lp._batch_size(rng.bit_generator.state, count) >= _MIN_BATCH
+    assert lp._batch_size(np.random.Generator(np.random.MT19937(0)).bit_generator.state, count) == 0
+    twin, array_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    drawn = _loop_counter(monkeypatch)
+    paths = lp.sample_many(rng, count)
+    after = copy.deepcopy(rng)
+    assert paths == _scan_batch(lp, twin, count)
+    _assert_same_place(rng, twin)
+    looped = drawn[0]
+    if rejected:  # some samples went to the loop, one each, and the batch drew the rest
+        assert 1 <= looped < count // 10
+    else:
+        assert looped <= count // 100
+    array = lp.sample_array(array_rng, count)
+    assert array.dtype == np.intp and array.shape == (count, n)
+    assert array.tolist() == [list(p) for p in paths]
+    _assert_same_place(array_rng, after)
+    assert lp.sample_array(0, 0).shape == (0, n)
+
+
+@settings(max_examples=150)
+@given(
+    _sampled_measures(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_BIT_GENERATORS),
+    st.integers(_MIN_BATCH, 3 * _MIN_BATCH),
+    st.booleans(),
+)
+def test_sample_many_equals_the_linear_scans_at_batch_counts(case, seed, bit_generator, count,
+                                                              odd):
+    lp, _ = case
+    rng = _odd_buffer_rng(bit_generator, seed) if odd else np.random.Generator(bit_generator(seed))
+    twin, array_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    expected = _scan_batch(lp, twin, count)
+    after = copy.deepcopy(twin)
+    assert _batch(lp, rng, count) == expected
+    _assert_same_place(rng, twin)
+    try:
+        array = lp.sample_array(array_rng, count).tolist()
+    except SpherecombError as exc:
+        array = str(exc)
+    assert array == (expected if isinstance(expected, str) else [list(p) for p in expected])
+    _assert_same_place(array_rng, after)
+
+
+def test_prefix_distribution_and_lambda_prime_check_their_parts():
+    g = GraphStructure(sanov_system(), 1, 0, (Edge(0, 0, ("a",)), Edge(0, 0, ("b",))))
+    prefix = PrefixDistribution(r=1, paths=((0,), (1,)), probs=(0.5, 0.5))
+    bad = [
+        ("^prefix distribution needs at least one path$",
+         lambda: PrefixDistribution(r=0, paths=(), probs=())),
+        ("^1 masses for 2 prefixes$",
+         lambda: PrefixDistribution(r=1, paths=((0,), (1,)), probs=(1.0,))),
+        (r"^prefix \(0, 1\) does not have length r = 1$",
+         lambda: PrefixDistribution(r=1, paths=((0,), (0, 1)), probs=(0.5, 0.5))),
+        ("^prefix length r = 0, but the prefixes have r = 1$",
+         lambda: LambdaPrime(graph=g, n=3, r=0, prefix=prefix)),
+        ("^prefix length r = 1 exceeds the path length n = 0$",
+         lambda: LambdaPrime(graph=g, n=0, r=1, prefix=prefix)),
+    ]
+    for message, build in bad:
+        with pytest.raises(ValueError, match=message):
+            build()
+    assert LambdaPrime(graph=g, n=1, r=1, prefix=prefix).sample_many(0, 2) in (
+        [(a,), (b,)] for a in (0, 1) for b in (0, 1)
+    )
 
 
 # ---------------------------------------------------------------------------
