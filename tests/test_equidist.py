@@ -687,6 +687,28 @@ _MC_PINNED = {
     ("z_parabolic", 10, 300, 9, 1, False): (
         "827640eceff1a1ce8245c7f77fd739968f4b6a181b43264cf03f82c54671b059"
     ),
+    # deep free2_sanov levels, recorded with the suffix draws read from blocks
+    # of raw words: n = 17 admits batches of at most 20 samples, n = 19 first
+    # draws below 4 * 3**18 (28% of 32-bit words rejected), and n = 24 takes
+    # a 64-bit word for its first suffix draw
+    ("free2_sanov", 17, 200, 10, 2, True): (
+        "4ccc1e7ba57a3fbd856b0d1d2f4a4358b04e9291a569703875c3df5f65941bb9"
+    ),
+    ("free2_sanov", 17, 200, 11, 1, False): (
+        "fc72f8a0f21b5550701abad7ee4f408e7d3cbf9152392e80bfeab6c7c346e977"
+    ),
+    ("free2_sanov", 19, 200, 12, 3, True): (
+        "f7de54b47ed06e3bde76cc0143185c121ffc685351ae9fff12bf4ac6d3edd536"
+    ),
+    ("free2_sanov", 19, 200, 13, 1, False): (
+        "94ca2836f85e39482a4035dac063064994890ba611c1c2b31e1369ca94b55ccc"
+    ),
+    ("free2_sanov", 24, 200, 14, 1, True): (
+        "3ea91cc1fd4c2dc72731a5915d59228b9d85c571e244ea6cec21603e9063a8f7"
+    ),
+    ("free2_sanov", 24, 200, 15, 4, False): (
+        "408733ae4c2f61e862087311c32e0bddd718bc5bae8fd37c50d7720be601e4ec"
+    ),
 }
 
 
