@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -97,9 +98,18 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_report(path: str | None, config: dict, results: dict) -> None:
-    """``{"config": ..., "results": ...}`` as sorted, indented JSON, to path or stdout."""
+    """``{"config": ..., "results": ...}`` as sorted, indented JSON, to path or stdout.
+
+    Strict JSON has no NaN or infinity, so a non-finite float raises here;
+    a report writes one as null (``_json_float``).
+    """
     report = {"config": config, "results": results}
-    _write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _json_float(x: float | None) -> float | None:
+    """x, or None (JSON null) where x is None, NaN or infinite."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -267,6 +277,7 @@ def _cmd_equidist(cfg: dict) -> int:
                 raise
             mode = "mc"
     if mode == "mc":
+        check_integer(cfg["seed"], "seed")
         rep = equidist.mc_series(
             ps.graph, _spectral_for(ps), x, f, n_max, cfg["samples"], cfg["seed"],
             inverse=inverse,
@@ -280,7 +291,7 @@ def _cmd_equidist(cfg: dict) -> int:
             "path_count": list(rep.path_counts),
             "spherical": [[v.real, v.imag] for v in rep.spherical],
             "cesaro": [[v.real, v.imag] for v in rep.cesaro],
-            "stderr": list(errs),
+            "stderr": [_json_float(e) for e in errs],  # one sample has no stderr
         })
         return 0
     header = [
@@ -301,7 +312,9 @@ def _weighted_report(cfg: dict, command: str, x, f, res, **extra) -> int:
     _write_report(cfg["output"], _orbit_config(cfg, command, f, **_ECHOED_WORKERS, **extra), {
         "basepoint_fix64": list(x.coords),
         "value": [res.value.real, res.value.imag],
-        "predicted_limit": [res.predicted_limit.real, res.predicted_limit.imag],
+        # NaN, written as null, where there is no c to predict the limit (p* > 1)
+        "predicted_limit": [_json_float(res.predicted_limit.real),
+                            _json_float(res.predicted_limit.imag)],
     })
     return 0
 
@@ -339,6 +352,7 @@ def _cmd_sample_geodesic(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     model = markov.build_markov(ps.graph)
     n = cfg["length"]
+    check_integer(cfg["seed"], "seed")
     value = equidist.random_geodesic_average(model, x, f, n, cfg["seed"])
     path = markov.sample_path(model, ps.graph.initial, min(n, 40), cfg["seed"])
     _write_report(cfg["output"], _orbit_config(cfg, "sample-geodesic", f), {

@@ -25,14 +25,14 @@ continuations; ``LambdaPrime.sample_many`` and ``sample_array`` give the
 paths, and leave the generator state, of one numpy call per draw.  Where the
 bit generator buffers half a word (PCG64, the default, and its kin) and
 every sample draws at the same edge positions with fewer than 2**32
-continuations, batches of at least 64 samples are drawn together, one edge
-position at a time: one ``random_raw`` call gives every word of a batch, and
-numpy's reduction of words to bounded integers (Lemire, ACM TOMACS 2019) runs
-on whole columns of them.  A sample with a draw numpy would reject is drawn
-again by the per-sample loop, as is everything else: MT19937 (by numpy's own
-calls), 2**32 or more continuations, mixed draw schedules, small counts and
-samples that raise.  The loop bisects cached running totals
-(``itertools.accumulate``) of prefix masses and of path counts.
+continuations, batches of at least 7 samples (the measured break-even) are
+drawn together, one edge position at a time: one ``random_raw`` call gives
+every word of a batch, and numpy's reduction of words to bounded integers
+(Lemire, ACM TOMACS 2019) runs on whole columns of them.  Everything else is
+drawn by a per-sample loop of numpy's own calls, which bisects cached
+running totals (``itertools.accumulate``) of prefix masses and of path
+counts: a sample with a draw numpy would reject, MT19937, 2**32 or more
+continuations, mixed draw schedules, small counts and samples that raise.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from .errors import SmallGrowthVertexError, SpherecombError, check_integer
 
 _ROW_SUM_TOL = 1e-12
 _WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
-_WORD_BLOCK = 1 << 12  # suffix-draw words per block; keeps each block small
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
-_MIN_BATCH = 64  # the fewest samples per batch of suffix draws; fewer are drawn by the loop
+_MIN_BATCH = 7  # the fewest samples per batch of suffix draws; fewer are drawn by the loop
 
 
 @dataclass(frozen=True)
@@ -399,122 +398,6 @@ def prefix_distribution(
     )
 
 
-class _Words:
-    """``Generator.random()`` and ``int(Generator.integers(total))``, by numpy's own calls.
-
-    For bit generators with no half-word buffer (MT19937, or any other):
-    each draw is one numpy call, so the generator is always where the
-    per-call draws leave it.
-    """
-
-    __slots__ = ("uniform", "_integers")
-
-    def __init__(self, rng: np.random.Generator):
-        self.uniform = rng.random
-        self._integers = rng.integers
-
-    def below(self, total: int) -> int:
-        return int(self._integers(total))
-
-    def close(self) -> None:
-        """Nothing to put back: every draw was a numpy call."""
-
-
-class _BlockWords:
-    """The same draws from blocks of 64-bit words read by ``bit_generator.random_raw``.
-
-    For the bit generators that buffer half a word (``has_uint32`` in their
-    state: PCG64, PCG64DXSM, SFC64, Philox).  Their ``random()`` is
-    (u64 >> 11) * 2**-53, and a 32-bit draw takes a word's low half and
-    buffers its high half for the next one.  ``below`` runs numpy's reduction
-    of words to a bounded integer (Lemire, "Fast random integer generation in
-    an interval", ACM TOMACS 2019) for 1 <= total <= 2**63.  Total 1 takes no
-    word and 2**32 one raw 32-bit word.  Otherwise a 32-bit word (below
-    2**32) or a 64-bit word (above) is multiplied by the total, drawn again
-    while the low half of the product is below (2**bits - total) % total,
-    and the high half is the draw.  ``close`` puts the generator back at the
-    state saved before the last block, advances it by the words used from
-    that block and writes the half-word buffer back, so it stands where the
-    per-call draws would have left it.
-    """
-
-    __slots__ = ("_bg", "_has", "_half", "_size", "_block", "_pos", "_saved")
-
-    def __init__(self, bg: np.random.BitGenerator, state: dict, size: int):
-        self._bg = bg
-        self._has, self._half = state["has_uint32"], state["uinteger"]
-        self._size = size
-        self._block: list[int] = []
-        self._pos = 0
-        self._saved: dict | None = None
-
-    def _word64(self) -> int:
-        pos = self._pos
-        if pos == len(self._block):
-            self._saved = self._bg.state
-            self._block = self._bg.random_raw(self._size).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._block[pos]
-
-    def _word32(self) -> int:
-        if self._has:
-            self._has = 0
-            return self._half
-        w = self._word64()
-        self._has, self._half = 1, w >> 32
-        return w & 0xFFFFFFFF
-
-    def uniform(self) -> float:
-        return (self._word64() >> 11) * 2.0**-53
-
-    def below(self, total: int) -> int:
-        """The reduction, with its hot case inline: a 32-bit word (``_word32``) not rejected."""
-        if not 1 < total < 1 << 32:
-            if total == 1:
-                return 0
-            if total == 1 << 32:
-                return self._word32()
-            return self._reduce(self._word64() * total, total, 64)
-        if self._has:
-            self._has = 0
-            m = self._half * total
-        else:
-            w = self._word64()
-            self._has, self._half = 1, w >> 32
-            m = (w & 0xFFFFFFFF) * total
-        if m & 0xFFFFFFFF >= total:
-            return m >> 32
-        return self._reduce(m, total, 32)
-
-    def _reduce(self, m: int, total: int, bits: int) -> int:
-        """The draw from m = word * total: the high part, once the low part is not rejected."""
-        low = (1 << bits) - 1
-        if m & low < total:  # a larger low part is never rejected
-            word = self._word32 if bits == 32 else self._word64
-            limit = ((1 << bits) - total) % total
-            while m & low < limit:
-                m = word() * total
-        return m >> bits
-
-    def close(self) -> None:
-        bg = self._bg
-        if self._saved is not None:
-            bg.state = self._saved
-            bg.random_raw(self._pos)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = self._has, self._half
-        bg.state = state
-
-
-def _words(rng: np.random.Generator, size: int) -> _Words | _BlockWords:
-    """Words in blocks of ``size`` where the bit generator buffers half a word, else per call."""
-    state = rng.bit_generator.state
-    if "has_uint32" in state:
-        return _BlockWords(rng.bit_generator, state, size)
-    return _Words(rng)
-
-
 @dataclass(frozen=True)
 class _Batch:
     """Tables of the batched suffix draw: every sample of a batch advances together.
@@ -674,9 +557,8 @@ class LambdaPrime:
         each; a sample whose draw numpy would reject, and redraw, is drawn
         again by the loop, and the batch resumes after it.  Otherwise (MT19937,
         2**32 or more continuations, mixed draw schedules, small counts or a
-        sample that raises) the per-sample loop draws: a bisect per edge, on
-        numpy's reduction of words read in blocks of at most _WORD_BLOCK, or
-        by numpy's own calls where no half word is buffered (``_words``).
+        sample that raises) the per-sample loop draws: numpy's own calls, and
+        a bisect per edge.
 
         Raises ``SpherecombError`` after a sample's prefix draw, before its
         suffix draws, when the suffix has no continuation or more than 2**63
@@ -705,17 +587,18 @@ class LambdaPrime:
         draws, takes b + ceil((b s - h) / 2) words, h the buffered-half flag:
         sample i's ``random()`` word is word i + ceil((i s - h) / 2), and the
         q-th word split into halves (low half first) is word
-        q + (2 q + h) // s + 1, after the buffered half if h.
+        q + (2 q + h) // s + 1, after the buffered half if h.  Where numpy
+        would reject a draw of sample k, the bit generator is rewound to
+        where sample k starts, its half-word buffer (``has_uint32``,
+        ``uinteger``) is written into its state, and ``_loop`` draws that one
+        sample by numpy's calls.  Fewer than ``_MIN_BATCH`` samples, or no
+        batch tables, go to ``_loop`` whole.
         """
         bg = rng.bit_generator
         state = bg.state
         size = self._batch_size(state, count)
         if not size:
-            words = _words(rng, min(_WORD_BLOCK, count * (self.n - self.r + 1)))
-            try:
-                yield self._loop(words, count)
-            finally:
-                words.close()
+            yield self._loop(rng, count)
             return
         batch = self._batch
         s = batch.draws
@@ -744,16 +627,11 @@ class LambdaPrime:
             if k:
                 yield rows[:k]
             nk = (k * s - h + 1) // 2
+            state["has_uint32"] = (k * s - h) % 2  # ``random_raw`` keeps the buffer
+            state["uinteger"] = int(split[nk - 1] >> 32) if nk else half
             bg.state = state
             bg.random_raw(k + nk)  # back to where sample k starts
-            words = _BlockWords(bg, {
-                "has_uint32": (k * s - h) % 2,
-                "uinteger": int(split[nk - 1] >> 32) if nk else half,
-            }, self.n - self.r + 1)
-            try:
-                yield self._loop(words, 1)
-            finally:
-                words.close()
+            yield self._loop(rng, 1)
             done += k + 1
             state = bg.state
             h, half = state["has_uint32"], state["uinteger"]
@@ -787,17 +665,17 @@ class LambdaPrime:
             v = batch.dst[e]
         return rows.T, rejected
 
-    def _loop(self, words: _Words | _BlockWords, count: int) -> list[tuple[int, ...]]:
-        """``count`` paths drawn in turn from ``words``, one bisect per suffix edge."""
+    def _loop(self, rng: np.random.Generator, count: int) -> list[tuple[int, ...]]:
+        """``count`` paths drawn in turn by numpy's own calls, one bisect per suffix edge."""
         length = self.n - self.r
         counts = self._counts[length]
         cum_counts = self._cum_counts[::-1]
         out = self.graph.out_edges
         dst = [e.dst for e in self.graph.edges]
-        below = words.below
+        uniform, integers = rng.random, rng.integers
         paths = []
         for _ in range(count):
-            path = list(self.prefix._path_at(words.uniform()))
+            path = list(self.prefix._path_at(uniform()))
             v = dst[path[-1]] if path else self.graph.initial
             total = counts[v]
             if total == 0:
@@ -809,7 +687,7 @@ class LambdaPrime:
                 )
             for cum in cum_counts:
                 row = cum[v]
-                ei = out[v][bisect_right(row, below(row[-1]))]
+                ei = out[v][bisect_right(row, int(integers(row[-1])))]
                 path.append(ei)
                 v = dst[ei]
             paths.append(tuple(path))

@@ -435,19 +435,54 @@ def test_config_basepoint_list_matches_the_flag(tmp_path, capsys):
          "error: bad function term [1, 1]: expected [[k1, ..., kd], coeff]\n"),
         (["equidist", "--function", '[["10", 1]]'],
          "error: bad function term ['10', 1]: expected [[k1, ..., kd], coeff]\n"),
+        # a negative seed is refused by name where the run draws with it
+        (["equidist", "--mode", "mc", "--seed", "-1"], "error: seed must be nonnegative\n"),
+        (["equidist", "--budget", "10", "--seed", "-2"], "error: seed must be nonnegative\n"),
+        (["equidist", "--mode", "mc", "--config", {"seed": -1}],
+         "error: seed must be nonnegative\n"),
+        (["sample-geodesic", "--seed", "-3"], "error: seed must be nonnegative\n"),
+        (["sample-geodesic", "--config", {"seed": -3}], "error: seed must be nonnegative\n"),
     ],
     ids=["zero-denominator", "frequency-too-long", "config-list", "frequency-number",
-         "frequency-string"],
+         "frequency-string", "mc-seed-flag", "auto-fallback-seed-flag", "mc-seed-config",
+         "ray-seed-flag", "ray-seed-config"],
 )
 def test_bad_input_messages(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"
-    if isinstance(argv[-1], list):
+    if isinstance(argv[-1], (list, dict)):  # a config file holding it
         cfg.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + [str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == message.format(cfg=cfg)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, key, null",
+    [
+        # dinf_involutions has p* = 2, so no c predicts the kappa limit
+        (["kappa", "--preset", "dinf_involutions", "--n-max", "3"], "predicted_limit", [None, None]),
+        # one sample per level has no standard error
+        (["equidist", "--mode", "mc", "--samples", "1", "--n-max", "3", "--json"], "stderr",
+         [None, None, None]),
+    ],
+    ids=["kappa-p-star-2", "mc-one-sample"],
+)
+def test_reports_are_strict_json(capsys, argv, key, null):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["results"][key] == null
+
+
+def test_a_non_finite_report_value_raises():
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        cli._write_report(None, {}, {"value": float("nan")})
 
 
 @pytest.mark.parametrize(
