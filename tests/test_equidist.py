@@ -760,6 +760,20 @@ _RAY_PINNED = {
     ("dinf_involutions", 9000, 10, 3, False, None): (
         "719dba9a2d2393957401ffe1decd2251c8e1cbbf185bc26e8d3b168b616f9f8e"
     ),
+    # several chunks of 16,384 steps, or one step past a chunk, recorded with
+    # the doubling scan over blocks of 4,096 steps
+    ("free2_sanov", 40_000, 11, 2, True, None): (
+        "d6edc1a6434781a6365fb1a65db279b4813bc4bc0e04c30f918213a1b4d1378c"
+    ),
+    ("dinf_involutions", 33_001, 12, 3, False, "stationary"): (
+        "f4b7ee9536e9ea0c78b69e4d1d293206f69c54159132d66eab2f18359af324dc"
+    ),
+    ("z_parabolic", 20_000, 13, 1, False, None): (
+        "4f967c526cbea1f1c92975e6311a919f32f28a5d90570dcdeac10f26b2c2379d"
+    ),
+    ("free2_sanov", 16_385, 14, 1, False, 2): (
+        "53fb049459205a59261c9f4390af2f650e673b20b03cd9992bcf3284c1c9b79b"
+    ),
 }
 
 
