@@ -277,7 +277,6 @@ def _cmd_equidist(cfg: dict) -> int:
                 raise
             mode = "mc"
     if mode == "mc":
-        check_integer(cfg["seed"], "seed")
         rep = equidist.mc_series(
             ps.graph, _spectral_for(ps), x, f, n_max, cfg["samples"], cfg["seed"],
             inverse=inverse,
@@ -352,7 +351,6 @@ def _cmd_sample_geodesic(cfg: dict) -> int:
     ps, x, f = _orbit_inputs(cfg)
     model = markov.build_markov(ps.graph)
     n = cfg["length"]
-    check_integer(cfg["seed"], "seed")
     value = equidist.random_geodesic_average(model, x, f, n, cfg["seed"])
     path = markov.sample_path(model, ps.graph.initial, min(n, 40), cfg["seed"])
     _write_report(cfg["output"], _orbit_config(cfg, "sample-geodesic", f), {

@@ -30,9 +30,11 @@ on the chunks.
 Monte Carlo counterparts draw paths from the prefix-then-uniform measure or
 follow a single Markov ray; both are deterministic given a seed.  Monte Carlo
 draws each level's paths by one ``LambdaPrime.sample_array`` call, a ray its
-edges by one ``sample_path`` call.  Both then right-multiply the same uint64
-states on whole arrays: Monte Carlo advances every sample one edge position
-at a time, and a ray takes the prefix products of its R_e by a doubling scan.
+edges as one array of the chain walk that ``sample_path`` takes.  Both then
+right-multiply the same uint64 states on whole arrays, from one edge-action
+table per call: Monte Carlo advances every sample one edge position at a
+time, and a ray takes the prefix products of its R_e by a two-pass scan in
+chunks, O(1) products per step.
 One helper evaluates the test function on an array of points, each
 distinct frequency by the same phase-and-``exp`` step as the exact sums,
 bit for bit as :meth:`TestFunction.evaluate` does on each point.
@@ -44,6 +46,7 @@ import cmath
 import functools
 import os
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -669,11 +672,14 @@ def mc_spherical(
     its edge's R_e as one batched uint64 product.
     """
     check_integer(samples, "samples", 1)
-    d = graph.system.dim
-    x_col, state = _walk_start(x, d, inverse)
-    lp = markov_mod.lambda_prime(graph, data, n)
-    paths = lp.sample_array(seed, samples)
+    x_col, state = _walk_start(x, graph.system.dim, inverse)
     acts = _edge_actions(graph, inverse)
+    return _mc_level(graph, data, x_col, state, acts, f, n, samples, seed, inverse)
+
+
+def _mc_level(graph, data, x_col, state, acts, f, n, samples, seed, inverse) -> McEstimate:
+    """:func:`mc_spherical` from its checked basepoint, start state and edge actions."""
+    paths = markov_mod.lambda_prime(graph, data, n).sample_array(seed, samples)
     states = np.tile(state, (samples, 1, 1))
     for i in range(n):
         states = states @ acts[paths[:, i]]
@@ -700,12 +706,16 @@ def mc_series(
 ) -> AveragingReport:
     """Monte Carlo counterpart of :func:`sphere_series`: one estimate per n = 1..n_max.
 
-    Level n samples with the n-th child of ``SeedSequence(seed).spawn(n_max)``.
+    Level n samples with the n-th child of ``SeedSequence(seed).spawn(n_max)``;
+    the edge actions are built once for all levels.
     """
     check_integer(n_max, "N", 1)
-    children = np.random.SeedSequence(seed).spawn(n_max)
+    children = np.random.SeedSequence(markov_mod._seed(seed)).spawn(n_max)
+    check_integer(samples, "samples", 1)
+    x_col, state = _walk_start(x, graph.system.dim, inverse)
+    acts = _edge_actions(graph, inverse)
     ests = [
-        mc_spherical(graph, data, x, f, n, samples, child, inverse=inverse)
+        _mc_level(graph, data, x_col, state, acts, f, n, samples, child, inverse)
         for n, child in enumerate(children, start=1)
     ]
     sph = [est.value for est in ests]
@@ -738,9 +748,11 @@ def random_geodesic_average(
 
     The ray is a Markov trajectory from the start vertex (the graph's initial
     vertex by default).  The states of all its prefixes are the start state
-    times the prefix products R_1 ... R_m, formed in uint64 by a doubling scan
-    over each block of ``_BLOCK`` steps, summed on its own; the block's last
-    state carries into the next, so the working arrays stay small.
+    times the prefix products R_1 ... R_m, formed in uint64 by a two-pass
+    scan (``_ray_states``) over each chunk of 4 ``_BLOCK`` steps; the
+    chunk's last state carries into the next, so the working arrays stay
+    small.  Each block of ``_BLOCK`` states is evaluated and summed on its
+    own.
     """
     check_integer(n_max, "N", 1)
     graph = model.graph
@@ -748,17 +760,47 @@ def random_geodesic_average(
     x_col, carry = _walk_start(x, d, inverse)
     if start is None:
         start = graph.initial
-    path = markov_mod.sample_path(model, start, n_max, seed)
-    acts = _edge_actions(graph, inverse)
-    edges = np.array(path.edges, dtype=np.intp)
+    _, edges = markov_mod._walk_edges(model, start, n_max, seed)
+    # the last action, which edge index -1 picks, is the identity
+    acts = np.concatenate([_edge_actions(graph, inverse), np.eye(d, dtype=np.uint64)[None]])
     block_sums = []
-    for lo in range(0, n_max, _BLOCK):
-        prods = acts[edges[lo : lo + _BLOCK]]
-        shift = 1
-        while shift < len(prods):
-            prods[shift:] = prods[:-shift] @ prods[shift:]
-            shift *= 2
-        states = carry @ prods
+    chunk = 4 * _BLOCK
+    for lo in range(0, n_max, chunk):
+        states = _ray_states(acts, carry, edges[lo : lo + chunk])
         carry = states[-1]
-        block_sums.append(complex(_f_values(f, _points(states, x_col, inverse)).sum()))
+        for i in range(0, len(states), _BLOCK):
+            pts = _points(states[i : i + _BLOCK], x_col, inverse)
+            block_sums.append(complex(_f_values(f, pts).sum()))
     return _across_blocks(block_sums) / n_max
+
+
+def _ray_states(acts: np.ndarray, carry: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """carry times every prefix product of ``acts[edges]``, by a two-pass scan.
+
+    The n steps are cut into B sub-blocks of L = isqrt(n) steps, the last
+    padded by the identity action (edge -1).  Pass 1 forms every
+    sub-block's product at once, in L batched products; the products are
+    then chained from carry in Python, which gives each sub-block its start
+    state; pass 2 replays all sub-blocks from their starts, in L more.  A
+    product mod 2**64 is associative, so the states are those of the
+    step-by-step products (Blelloch, "Prefix sums and their applications",
+    1990): O(n) work, against O(n log n) for a doubling scan.
+    """
+    n = len(edges)
+    span = max(1, isqrt(n))
+    count = -(-n // span)
+    padded = np.full(count * span, -1, dtype=np.intp)
+    padded[:n] = edges
+    steps = acts[padded.reshape(count, span).T]  # steps[t]: step t of every sub-block
+    prods = steps[0]
+    for step in steps[1:]:
+        prods = prods @ step
+    starts = np.empty((count, *carry.shape), dtype=np.uint64)
+    for b in range(count):
+        starts[b] = carry
+        carry = carry @ prods[b]
+    states = np.empty((count, span, *carry.shape), dtype=np.uint64)
+    cur = starts
+    for t, step in enumerate(steps):
+        cur = np.matmul(cur, step, out=states[:, t])
+    return states.reshape(count * span, *carry.shape)[:n]

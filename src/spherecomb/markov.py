@@ -12,9 +12,14 @@ gives the same trajectory.  Each block of 16,384 uniforms is one
 probabilities into one sorted list of cuts makes each draw one interval id,
 whose step is a table lookup for every vertex at once, so a block is walked
 by an exact two-pass scan over step maps: it takes the edge that a
-``bisect_right`` per step takes.  The scan costs O(V) per step; measured on
-random 3-out chains it beats a bisect per step up to about V = 50 vertices,
-and every preset has V <= 5.
+``bisect_right`` per step takes.  The ids come from a guide table over 2**k
+equal buckets of [0, 1) (at least 4,096, and 16 per cut), which holds the id
+of every bucket that no cut splits; only the draws in the few split buckets
+(6 of 4,096 on free2_sanov) are searched.  The scan costs O(V) per step;
+measured on random 3-out chains it beats a bisect per step up to about
+V = 50 vertices, and every preset has V <= 5.  ``sample_path`` and
+``random_geodesic_average`` take their edges from ``_walk_edges``, as one
+int32 array.
 
 Also here: the length-r prefix distribution harvested from A_inf, and the
 prefix-then-uniform path measure it induces (an explicit approximation to
@@ -37,6 +42,7 @@ continuations, mixed draw schedules, small counts and samples that raise.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +58,7 @@ from .errors import SmallGrowthVertexError, SpherecombError, check_integer
 
 _ROW_SUM_TOL = 1e-12
 _WALK_BLOCK = 1 << 14  # chain steps per block of uniforms, walked by one block scan
+_MIN_BUCKETS = 1 << 12  # the fewest buckets of a chain's guide table
 _MAX_DRAW = 2**63  # the largest count ``rng.integers`` draws below (its default int64)
 _MIN_BATCH = 7  # the fewest samples per batch of suffix draws; fewer are drawn by the loop
 
@@ -74,14 +81,15 @@ class MarkovModel:
         return tuple(tuple(accumulate(prob[ei] for ei in out)) for out in self.graph.out_edges)
 
     @cached_property
-    def _step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The chain step by interval of the uniform draw: cuts, edges taken, vertices reached.
+    def _step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The chain step by interval of the uniform draw: cuts, guide, edges taken, vertices reached.
 
         The cuts are every vertex's running totals, merged and sorted.  Edge
         probabilities are nonnegative, so each vertex's totals are sorted too,
         and between two consecutive cuts ``bisect_right(_cum_prob[w], u)`` is
         the same for every vertex w: u picks one interval,
-        ``searchsorted(cuts, u, "right")``.  Row i of the two flat
+        ``searchsorted(cuts, u, "right")``, which ``_interval_rows`` finds
+        through the guide of ``_guide``.  Row i of the two flat
         (cuts + 2) x (V + 1) tables holds the edge taken and the vertex
         reached from each vertex in interval i, a draw past the last total
         clamped to the last edge.  A vertex with no
@@ -99,7 +107,7 @@ class MarkovModel:
         dst = np.array([e.dst for e in self.graph.edges] + [nv], dtype=np.intp)
         next_of = dst[edge_of]  # edge -1 reads the sink
         next_of[-1] = np.arange(nv + 1)
-        return cuts, edge_of.ravel(), next_of.ravel()
+        return cuts, _guide(cuts, nv + 1), edge_of.ravel(), next_of.ravel()
 
     def start_vertex(self, start: int | str, rng: np.random.Generator) -> int:
         if start == "stationary":
@@ -183,24 +191,56 @@ def path_weight(model: MarkovModel, path: Sequence[int], start: int | None = Non
     return model.q[start] * model.p[j] / model.lam ** len(path)
 
 
+def _guide(cuts: np.ndarray, lanes: int) -> np.ndarray:
+    """Per bucket [j/m, (j+1)/m) of [0, 1), the row offset of its interval, or -1.
+
+    A guide table (Chen and Asau, AIIE Transactions 1974).  m is a power of
+    two, at least ``_MIN_BUCKETS`` and at least 16 buckets per cut, so j/m is
+    exact.  A bucket with no cut strictly inside lies in one interval i of
+    ``searchsorted(cuts, u, "right")`` and stores i * lanes; a bucket with a
+    cut strictly inside stores -1.
+    """
+    m = max(_MIN_BUCKETS, 1 << (16 * len(cuts) - 1).bit_length())
+    bounds = np.arange(m + 1) / m
+    lo = np.searchsorted(cuts, bounds[:-1], side="right")
+    hi = np.searchsorted(cuts, bounds[1:], side="left")  # the cuts below the next bucket
+    return np.where(lo == hi, lo * lanes, -1)
+
+
+def _interval_rows(cuts: np.ndarray, guide: np.ndarray, lanes: int, u: np.ndarray, out=None):
+    """``searchsorted(cuts, u, "right") * lanes`` for uniforms u in [0, 1), by the guide.
+
+    u * m is exact (m a power of two), so its integer part is u's bucket;
+    only the u in buckets that a cut splits are searched.
+    """
+    rows = np.take(guide, (u * len(guide)).astype(np.intp), out=out)
+    split = np.flatnonzero(rows < 0)
+    if len(split):
+        u = u[split]
+        rows[split] = np.searchsorted(cuts, u, side="right") * lanes
+    return rows
+
+
 def _edge_blocks(
     model: MarkovModel, v: int, length: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """The chain step: edges of a trajectory from v, in int32 blocks of at most _WALK_BLOCK.
 
     Each block takes one ``rng.random`` call, so the uniforms are the stream
-    that a single ``rng.random(length)`` would give.  A block of n draws is
+    that a single ``rng.random(length)`` would give; ``_interval_rows`` turns
+    them into rows of the step tables.  A block of n draws is
     walked by an exact two-pass scan over the step maps of ``_step_tables``
     (Blelloch, "Prefix sums and their applications", 1990).  It is cut into
     B sub-blocks of L ~ sqrt(n) / 4 steps, the last padded by identity steps.
     Pass 1 composes every sub-block's map of the V + 1 lanes at once, in L
     ``take`` calls; the maps are then chained from v in Python, which gives
     each sub-block its true start; pass 2 replays all sub-blocks from their
-    starts, in L more ``take`` calls, and keeps the edges.  A stuck chain
+    starts, in L more ``take`` calls, keeping each step's table index, and
+    one ``take`` of those indices gives the block's edges.  A stuck chain
     falls into the sink, so it is found once per block, and the first edge
     -1 is the step that raises.
     """
-    cuts, edge_of, next_of = model._step_tables
+    cuts, guide, edge_of, next_of = model._step_tables
     lanes = model.graph.n_vertices + 1
     sink = lanes - 1
     pad = (len(cuts) + 1) * lanes  # the identity step's row
@@ -209,7 +249,7 @@ def _edge_blocks(
         span = max(1, isqrt(n) // 4)
         count = -(-n // span)
         rows = np.full(count * span, pad, dtype=np.intp)
-        np.multiply(np.searchsorted(cuts, rng.random(n), side="right"), lanes, out=rows[:n])
+        _interval_rows(cuts, guide, lanes, rng.random(n), out=rows[:n])
         rows = rows.reshape(count, span).T.copy()  # row t: step t of every sub-block
         # every index below is a row plus a vertex, in range by construction, so
         # "clip" never clips; it spares ``take`` the buffered copy of "raise"
@@ -224,13 +264,11 @@ def _edge_blocks(
             firsts.append(v)
             v = maps.item(b, v)
         cur = np.array(firsts, dtype=np.intp)
-        taken = np.empty((span, count), dtype=np.int32)
-        at = np.empty_like(cur)
-        for row, out in zip(rows, taken):
-            np.add(row, cur, out=at)
-            np.take(edge_of, at, out=out, mode="clip")
-            np.take(next_of, at, out=cur, mode="clip")
-        taken = taken.T.ravel()[:n]
+        at = np.empty((span, count), dtype=np.intp)
+        for row, here in zip(rows, at):
+            np.add(row, cur, out=here)
+            np.take(next_of, here, out=cur, mode="clip")
+        taken = np.take(edge_of, at.T, mode="clip").ravel()[:n]
         if v == sink:  # a step left a vertex with no outgoing edge
             k = int(np.argmax(taken < 0))
             stuck = start if k == 0 else model.graph.edges[taken[k - 1]].dst
@@ -238,18 +276,33 @@ def _edge_blocks(
         yield taken
 
 
+def _seed(seed):
+    """The seed, after ``check_integer`` where it is an integer; anything else is numpy's."""
+    if isinstance(seed, numbers.Integral):
+        check_integer(seed, "seed")
+    return seed
+
+
+def _walk_edges(model: MarkovModel, start: int | str, length: int, seed) -> tuple[int, np.ndarray]:
+    """The start vertex and the int32 edges of the trajectory that ``sample_path`` takes."""
+    check_integer(length, "walk length")
+    rng = np.random.default_rng(_seed(seed))
+    v = model.start_vertex(start, rng)
+    taken = np.empty(length, dtype=np.int32)
+    pos = 0
+    for block in _edge_blocks(model, v, length, rng):
+        taken[pos : pos + len(block)] = block
+        pos += len(block)
+    return v, taken
+
+
 def sample_path(model: MarkovModel, start: int | str, length: int, seed) -> SampledPath:
     """One chain trajectory; deterministic given the seed (or Generator) passed.
 
     Its vertices are what sample_vertex_walk gives for the same seed.
     """
-    check_integer(length, "walk length")
-    rng = np.random.default_rng(seed)
-    v = model.start_vertex(start, rng)
-    taken: list[int] = []
-    for block in _edge_blocks(model, v, length, rng):
-        taken += block.tolist()
-    return SampledPath(model.graph, v, tuple(taken))
+    v, taken = _walk_edges(model, start, length, seed)
+    return SampledPath(model.graph, v, tuple(taken.tolist()))
 
 
 def sample_vertex_walk(
@@ -261,7 +314,7 @@ def sample_vertex_walk(
     vertices, so no edge array for the whole trajectory is built.
     """
     check_integer(length, "walk length")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     v = model.start_vertex(start, rng)
     walk = np.empty(length + 1, dtype=np.int32)
     walk[0] = v
@@ -566,7 +619,7 @@ class LambdaPrime:
         """
         check_integer(count, "sample count")
         paths: list[tuple[int, ...]] = []
-        for part in self._draw(np.random.default_rng(seed), count):
+        for part in self._draw(np.random.default_rng(_seed(seed)), count):
             paths += part if isinstance(part, list) else map(tuple, part.tolist())
         return paths
 
@@ -575,7 +628,7 @@ class LambdaPrime:
         check_integer(count, "sample count")
         paths = np.empty((count, self.n), dtype=np.intp)
         done = 0
-        for part in self._draw(np.random.default_rng(seed), count):
+        for part in self._draw(np.random.default_rng(_seed(seed)), count):
             paths[done : done + len(part)] = np.reshape(part, (len(part), self.n))
             done += len(part)
         return paths

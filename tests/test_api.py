@@ -200,3 +200,33 @@ def test_every_size_argument_is_checked_by_the_one_integer_rule(free2, free2_dat
         next(enumerate_paths(g, 0, 0.5))
     with pytest.raises(ValueError, match=_not_an_integer("path length", 2.5)):
         lambda_prime(g, data, 2.5)
+
+
+def test_a_negative_seed_is_refused_by_name(free2, free2_data):
+    g, data, x = free2.graph, free2_data, free2.basepoint
+    f = TestFunction.character((1, 0))
+    model = build_markov(g, data)
+    lp = lambda_prime(g, data, 3)
+    calls = [
+        lambda s: sample_path(model, 0, 5, s),
+        lambda s: sample_vertex_walk(model, 0, 5, s),
+        lambda s: random_geodesic_average(model, x, f, 5, s),
+        lambda s: lp.sample(s),
+        lambda s: lp.sample_many(s, 3),
+        lambda s: lp.sample_array(s, 3),
+        lambda s: mc_spherical(g, data, x, f, 3, 10, s),
+        lambda s: mc_series(g, data, x, f, 3, 10, s),
+    ]
+    for call in calls:
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+                call(seed)
+        with pytest.raises(ValueError, match="^seed True is not an integer$"):
+            call(True)
+    # what is no integer is numpy's to take: Generators, SeedSequences and None
+    for seed in (None, np.uint8(3)):
+        for call in calls:
+            call(seed)
+    for seed in (np.random.default_rng(0), np.random.SeedSequence(0)):
+        for call in calls[:-1]:  # mc_series spawns a SeedSequence from its seed
+            call(seed)

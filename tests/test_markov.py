@@ -33,10 +33,13 @@ from spherecomb.combing import _backward_counts
 from spherecomb.errors import SmallGrowthVertexError, SpherecombError
 from spherecomb.markov import (
     _MIN_BATCH,
+    _MIN_BUCKETS,
     _WALK_BLOCK,
     LambdaPrime,
     PrefixDistribution,
     SampledPath,
+    _guide,
+    _interval_rows,
 )
 from conftest import sanov_system
 
@@ -890,6 +893,61 @@ def test_block_scan_equals_the_per_step_loop(model, length, seed, data):
         assert walk == expect
     else:
         assert walk == (expect[0], None, expect[2])
+
+
+def _assert_guide_gives_searchsorted(cuts: np.ndarray, lanes: int):
+    """The guide's rows equal ``searchsorted * lanes`` at every uniform where an id can change.
+
+    The uniforms are 0, the largest double below 1, every cut and its two
+    neighbouring doubles, and every bucket bound j/m with the double below
+    it, all kept to [0, 1).
+    """
+    guide = _guide(cuts, lanes)
+    m = len(guide)
+    assert m >= max(_MIN_BUCKETS, 16 * len(cuts)) and m & (m - 1) == 0
+    bounds = np.arange(m + 1) / m
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+        bounds, np.nextafter(bounds, -np.inf),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    expect = np.searchsorted(cuts, u, side="right") * lanes
+    assert np.array_equal(_interval_rows(cuts, guide, lanes, u), expect)
+    out = np.empty(len(u), dtype=np.intp)
+    assert _interval_rows(cuts, guide, lanes, u, out=out) is out
+    assert np.array_equal(out, expect)
+
+
+@settings(max_examples=100)
+@given(_chain_models())
+def test_guide_table_gives_the_searchsorted_interval(model):
+    cuts, guide, _, _ = model._step_tables
+    lanes = model.graph.n_vertices + 1
+    assert np.array_equal(guide, _guide(cuts, lanes))
+    _assert_guide_gives_searchsorted(cuts, lanes)
+
+
+def test_guide_table_on_chosen_cuts(free2_model):
+    cuts = free2_model._step_tables[0]
+    # free2_sanov's cuts hold near-equal triples at 1/3, 2/3 and 1
+    assert np.sum(np.abs(cuts - 1 / 3) < 1e-15) == 3 and np.sum(np.abs(cuts - 2 / 3) < 1e-15) == 3
+    assert np.sum(free2_model._step_tables[1] < 0) == 6  # buckets that a cut splits
+    rng = np.random.default_rng(5)
+    chosen = [
+        cuts,
+        np.array([]),
+        np.array([0.0]),
+        np.array([0.0, 0.5, 1.0]),
+        np.array([1 / 4096, 2 / 4096, 2 / 4096 + 2.0**-52, 0.75, 1.0 - 2.0**-53]),
+        np.array([2.0**-60, 1e-300, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53]),
+        np.array([0.25, 0.25 + 2.0**-54, 1.5, 2.0]),
+        np.sort(rng.random(300)),  # 300 cuts: 8,192 buckets
+        np.sort(np.concatenate([rng.random(50), rng.integers(0, 4096, 50) / 4096])),
+    ]
+    for cuts in chosen:
+        for lanes in (1, 6):
+            _assert_guide_gives_searchsorted(np.unique(cuts), lanes)
 
 
 @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
