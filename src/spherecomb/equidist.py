@@ -749,7 +749,7 @@ def random_geodesic_average(
     The ray is a Markov trajectory from the start vertex (the graph's initial
     vertex by default).  The states of all its prefixes are the start state
     times the prefix products R_1 ... R_m, formed in uint64 by a two-pass
-    scan (``_ray_states``) over each chunk of 4 ``_BLOCK`` steps; the
+    scan (``_ray_states``) over each chunk of 2 ``_BLOCK`` steps; the
     chunk's last state carries into the next, so the working arrays stay
     small.  Each block of ``_BLOCK`` states is evaluated and summed on its
     own.
@@ -764,7 +764,7 @@ def random_geodesic_average(
     # the last action, which edge index -1 picks, is the identity
     acts = np.concatenate([_edge_actions(graph, inverse), np.eye(d, dtype=np.uint64)[None]])
     block_sums = []
-    chunk = 4 * _BLOCK
+    chunk = 2 * _BLOCK  # 4 blocks scan 15% faster, but raised a benchmark's peak RSS up to 0.5 MB
     for lo in range(0, n_max, chunk):
         states = _ray_states(acts, carry, edges[lo : lo + chunk])
         carry = states[-1]

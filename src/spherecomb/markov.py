@@ -216,8 +216,7 @@ def _interval_rows(cuts: np.ndarray, guide: np.ndarray, lanes: int, u: np.ndarra
     rows = np.take(guide, (u * len(guide)).astype(np.intp), out=out)
     split = np.flatnonzero(rows < 0)
     if len(split):
-        u = u[split]
-        rows[split] = np.searchsorted(cuts, u, side="right") * lanes
+        rows[split] = np.searchsorted(cuts, u[split], side="right") * lanes
     return rows
 
 

@@ -760,8 +760,8 @@ _RAY_PINNED = {
     ("dinf_involutions", 9000, 10, 3, False, None): (
         "719dba9a2d2393957401ffe1decd2251c8e1cbbf185bc26e8d3b168b616f9f8e"
     ),
-    # several chunks of 16,384 steps, or one step past a chunk, recorded with
-    # the doubling scan over blocks of 4,096 steps
+    # several chunks of the ray scan, or one step past a multiple of 4 blocks,
+    # recorded with the doubling scan over blocks of 4,096 steps
     ("free2_sanov", 40_000, 11, 2, True, None): (
         "d6edc1a6434781a6365fb1a65db279b4813bc4bc0e04c30f918213a1b4d1378c"
     ),
@@ -868,7 +868,7 @@ def test_batched_ray_equals_word_act_on_every_prefix(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     start = data.draw(st.sampled_from([None, "stationary", *range(graph.n_vertices)]))
     # short scan blocks make the running product carry across blocks and
-    # chunks of 4 blocks, whose last sub-block is padded
+    # chunks of 2 blocks, whose last sub-block is padded
     block = data.draw(st.sampled_from([1, 3, 8, equidist._BLOCK]))
     with mock.patch.object(equidist, "_BLOCK", block):
         got = random_geodesic_average(model, x, f, length, seed, start=start, inverse=inverse)
