@@ -39,6 +39,7 @@ from spherecomb.errors import (
     InconsistentAutomatonError,
     NotAlmostSemisimpleError,
     RadiusExhaustedError,
+    SpherecombError,
 )
 from spherecomb import algebra, combing
 from spherecomb.algebra import GeneratorSystem
@@ -340,6 +341,131 @@ def test_cone_type_self_check_misses_a_relation_past_its_depth():
     rep = verify_geodesic(graph, 9)
     assert rep.length_preserving and not rep.injective and not rep.passed
     assert rep.witness == "words aBAbbaBAb and AbaBAAbaB evaluate equally"
+
+
+SL3_PAIR = GeneratorSystem.from_pairs([
+    ("a", "A", ((2, 1, 0), (1, 1, 0), (0, 0, 1))),
+    ("b", "B", ((1, 0, 0), (0, 2, 1), (0, 1, 1))),
+])
+# S of order 4 and U of order 6, which generate SL2(Z)
+SL2_PAIR = GeneratorSystem.from_pairs([
+    ("s", "S", ((0, -1), (1, 0))),
+    ("u", "U", ((0, -1), (1, 1))),
+])
+
+
+@pytest.mark.parametrize(
+    "system, radius, message",
+    [
+        (SL3_PAIR, 10, "state 5 first appears at depth 8; its transitions are not visible "
+         "within radius 10 (raise the radius)"),
+        (SL2_PAIR, 8, "inconsistent automaton: path counts (1, 4, 12, 16, 32, 64, 128) != "
+         "sphere counts (1, 4, 11, 12, 16, 24, 32) up to n = 6; raise the lookahead"),
+    ],
+    ids=["sl3-late-state", "sl2-counts"],
+)
+def test_cone_type_errors_match_pinned_messages(system, radius, message):
+    # recorded when each cone type was the frozenset of its geodesic extension words
+    with pytest.raises(InconsistentAutomatonError) as exc:
+        build_cone_type_combing(system, radius, 2)
+    assert str(exc.value) == message
+
+
+def word_set_cone_types(system: GeneratorSystem, radius: int, lookahead: int) -> GraphStructure:
+    """``build_cone_type_combing`` as it was written with one word set per element.
+
+    Each element's cone type is the frozenset of its geodesic extension words
+    (label-index tuples) up to the lookahead; states are numbered by first
+    occurrence in breadth-first order.
+    """
+    if radius <= lookahead:
+        raise RadiusExhaustedError(f"radius {radius} leaves no room below lookahead {lookahead}")
+    depth, nbrs, bounds = cayley_ball(system, radius)[1:]
+    depth_cap = radius - lookahead
+    if bounds[-1] == bounds[-2]:
+        raise RadiusExhaustedError(
+            f"sphere {len(bounds) - 2} is empty: "
+            f"the group ball stops growing before radius {radius}"
+        )
+
+    def geodesic_steps(i):
+        return [(j, h) for j, h in enumerate(nbrs[i]) if depth[h] == depth[i] + 1]
+
+    state_of_type, rep, state_of_elem = {}, [], []
+    for i in range(bounds[depth_cap + 1]):
+        front, cone = [((), i)], []
+        for _ in range(lookahead):
+            front = [(w + (j,), h) for w, g in front for j, h in geodesic_steps(g)]
+            cone += [w for w, _ in front]
+        t = frozenset(cone)
+        if t not in state_of_type:
+            state_of_type[t] = len(rep)
+            rep.append(i)
+        state_of_elem.append(state_of_type[t])
+
+    edges = []
+    for state, i in enumerate(rep):
+        if depth[i] > depth_cap - 1:
+            raise InconsistentAutomatonError(
+                f"state {state} first appears at depth {depth[i]}; its transitions "
+                f"are not visible within radius {radius} (raise the radius)"
+            )
+        edges += [Edge(state, state_of_elem[h], (system.labels[j],)) for j, h in geodesic_steps(i)]
+
+    graph = GraphStructure(system, len(rep), 0, tuple(edges))
+    got = sphere_counts(graph, depth_cap)
+    want = tuple(bounds[n + 1] - bounds[n] for n in range(depth_cap + 1))
+    if got != want:
+        raise InconsistentAutomatonError(
+            f"inconsistent automaton: path counts {got} != sphere counts {want} "
+            f"up to n = {depth_cap}; raise the lookahead"
+        )
+    return graph
+
+
+# Shears up to 2**63, the shipped systems, the SL2(Z) pair, the cyclic
+# groups of order 4, 6 and 2 (the ball stops early) and a d=1 system.
+CONE_SYSTEMS = [free_system(m) for m in (2, 3, 4, 2**63)] + [
+    preset(name).system for name in preset_names()
+] + [
+    SL2_PAIR,
+    GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 0)))]),
+    GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 1)))]),
+    GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))]),
+    GeneratorSystem.from_pairs([("a", "A", ((1,),))]),
+]
+
+
+def _outcome(build, *args):
+    """The graph a build returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except SpherecombError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(CONE_SYSTEMS), st.integers(1, 8), st.integers(1, 3))
+@example(free_system(3), 8, 3)
+@example(SL2_PAIR, 8, 2)
+def test_cone_types_equal_the_word_set_loop(system, radius, lookahead):
+    want = _outcome(word_set_cone_types, system, radius, lookahead)
+    assert _outcome(build_cone_type_combing, system, radius, lookahead) == want
+
+
+def test_cone_type_build_memory_is_bounded():
+    # The ball sets the peak (see test_cayley_ball_memory_is_bounded); the
+    # cone types must not raise it past the ball's 4.5 MiB.
+    system = preset("free2_sanov").system
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = build_cone_type_combing(system, 8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_vertices == 5
+    assert peak <= 4.5 * 2**20
 
 
 @pytest.mark.parametrize(
