@@ -12,8 +12,10 @@ free generating set, and the cone-type automaton computed from the exact
 matrix representation by breadth-first search.  Only the search multiplies:
 each sphere by all generators in one exact object-dtype ``np.matmul``, so
 each Cayley-graph product is made once; the cone types and the geodesic
-check read its neighbour table.  The shipped presets are built by these
-two constructions, which give equal graphs for the Sanov generators.
+check read its neighbour table.  Cone types are integer ids, refined one
+lookahead level at a time by ``np.unique`` over the table's rows, with no
+per-element Python loop.  The shipped presets are built by these two
+constructions, which give equal graphs for the Sanov generators.
 
 Path counts are exact Python integers, summed level by level over each
 vertex's out-edges, one term per edge, so parallel edges count with their
@@ -201,10 +203,20 @@ def build_cone_type_combing(
     Elements within the radius are enumerated by breadth-first search; two
     elements share a state when their geodesic extensions (words u with
     |gu| = |g| + |u|) agree to the given lookahead depth.  Extensions are
-    read off the ball's neighbour table, so no product is recomputed.  The
-    result is self-checked: its path counts from the start must reproduce
-    the Cayley sphere counts for all n <= radius - lookahead, else the
-    lookahead was too shallow and the automaton is rejected.
+    read off the ball's neighbour table, so no product is recomputed.
+
+    The extensions up to depth L of g are the pairs (label s, extensions up
+    to depth L - 1 of gs) over the labels s with |gs| = |g| + 1.  So the
+    types are computed level by level as integer ids: at level L, each
+    element of depth <= radius - L gets the id of its row of depth L - 1
+    ids over the labels, -1 for a label that is not one step longer.
+    States are numbered in order of first occurrence in breadth-first
+    order, and each state's edges are the geodesic steps of its first
+    element.
+
+    The result is self-checked: its path counts from the start must
+    reproduce the Cayley sphere counts for all n <= radius - lookahead,
+    else the lookahead was too shallow and the automaton is rejected.
     """
     check_integer(radius, "radius")
     check_integer(lookahead, "lookahead", 1)
@@ -220,31 +232,31 @@ def build_cone_type_combing(
             f"the group ball stops growing before radius {radius}"
         )
 
-    def geodesic_steps(i: int) -> list[tuple[int, int]]:  # (label index, neighbour) one longer
-        return [(j, h) for j, h in enumerate(nbrs[i]) if depth[h] == depth[i] + 1]
+    nbrs = np.array(nbrs, dtype=np.intp)
+    depth = np.array(depth, dtype=np.intp)
+    geo = depth[nbrs] == depth[: len(nbrs), None] + 1  # geo[g, j]: label j is one step longer
+    ids = np.zeros(len(depth), dtype=np.intp)  # every element's cone of depth 0 is empty
+    for level in range(1, lookahead + 1):
+        n = bounds[radius - level + 1]  # the elements of depth <= radius - level
+        rows = np.where(geo[:n], ids[nbrs[:n]], -1)  # (label, cone one level shallower) or -1
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    # states numbered in order of first occurrence, as in breadth-first order
+    order = np.argsort(first)
+    rep = first[order]  # element index of each state's first occurrence
+    state_of_elem = np.argsort(order)[ids]
 
-    state_of_type: dict[frozenset, int] = {}
-    rep: list[int] = []  # element index of each state's first BFS occurrence
-    state_of_elem: list[int] = []
-    for i in range(bounds[depth_cap + 1]):
-        front, cone = [((), i)], []
-        for _ in range(lookahead):
-            front = [(w + (j,), h) for w, g in front for j, h in geodesic_steps(g)]
-            cone += [w for w, _ in front]
-        t = frozenset(cone)
-        if t not in state_of_type:
-            state_of_type[t] = len(rep)
-            rep.append(i)
-        state_of_elem.append(state_of_type[t])
-
-    edges: list[Edge] = []
-    for state, i in enumerate(rep):
-        if depth[i] > depth_cap - 1:
-            raise InconsistentAutomatonError(
-                f"state {state} first appears at depth {depth[i]}; its transitions "
-                f"are not visible within radius {radius} (raise the radius)"
-            )
-        edges += [Edge(state, state_of_elem[h], (system.labels[j],)) for j, h in geodesic_steps(i)]
+    late = np.flatnonzero(depth[rep] > depth_cap - 1)
+    if late.size:
+        state = int(late[0])
+        raise InconsistentAutomatonError(
+            f"state {state} first appears at depth {int(depth[rep[state]])}; its transitions "
+            f"are not visible within radius {radius} (raise the radius)"
+        )
+    src, col = np.nonzero(geo[rep])  # state by state, in label order
+    dst = state_of_elem[nbrs[rep[src], col]]
+    words = [(s,) for s in system.labels]
+    edges = list(map(Edge, src.tolist(), dst.tolist(), map(words.__getitem__, col.tolist())))
 
     graph = GraphStructure(system, len(rep), 0, tuple(edges))
     got = sphere_counts(graph, depth_cap)
