@@ -8,8 +8,8 @@ coordinate or a character phase to a float.
 
 :class:`GroupMatrix` is the validated type at the API boundary: generator
 systems, automaton files and :meth:`GeneratorSystem.word_matrix`.  The hot
-loop, the Cayley ball, multiplies whole spheres as object-dtype numpy arrays
-of Python ints instead and never builds a ``GroupMatrix`` per product.
+loop, the Cayley ball, multiplies whole spheres as int64 residue arrays
+instead and never builds a ``GroupMatrix`` per product.
 """
 
 from __future__ import annotations

@@ -10,12 +10,15 @@ oracle by :func:`verify_geodesic`).
 Two constructions are provided: the explicit no-backtracking automaton of a
 free generating set, and the cone-type automaton computed from the exact
 matrix representation by breadth-first search.  Only the search multiplies:
-each sphere by all generators in one exact object-dtype ``np.matmul``, so
-each Cayley-graph product is made once; the cone types and the geodesic
-check read its neighbour table.  Cone types are integer ids, refined one
-lookahead level at a time by ``np.unique`` over the table's rows, with no
-per-element Python loop.  The shipped presets are built by these two
-constructions, which give equal graphs for the Sanov generators.
+it holds elements as int64 residues modulo as many coprime moduli as the
+radius needs to tell them apart, multiplies each sphere by all generators
+in one ``np.matmul``, and matches the products to known elements by one
+``np.unique`` per sphere.  So each Cayley-graph product is made once; the
+cone types and the geodesic check read its neighbour table.  Cone types are
+integer ids, refined one lookahead level at a time by ``np.unique`` over the
+table's rows; neither they nor the search loop over elements in Python.  The
+shipped presets are built by these two constructions, which give equal
+graphs for the Sanov generators.
 
 Path counts are exact Python integers, summed level by level over each
 vertex's out-edges, one term per edge, so parallel edges count with their
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from math import gcd, isqrt, prod
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -148,41 +151,100 @@ def build_free_group_combing(system: GeneratorSystem) -> GraphStructure:
 
 
 class CayleyBall(NamedTuple):
-    """Cayley ball as flat row-major tuples, with a neighbour table for the inner elements."""
+    """Cayley ball as exact row-major entry rows, with a neighbour table for the inner elements."""
 
-    elements: list[tuple[int, ...]]  # breadth-first order, d*d Python ints each
-    depth: list[int]  # word length of each element
-    nbrs: list[tuple[int, ...]]  # nbrs[i][j]: index of elements[i] times label j, below the radius
+    elements: np.ndarray  # (N, d*d) in breadth-first order: int64 for one modulus, else Python ints
+    depth: np.ndarray  # (N,) intp word length of each element
+    nbrs: np.ndarray  # (bounds[-2], labels) intp: nbrs[i, j] indexes elements[i] times label j
     bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
+
+
+def _moduli(d: int, bound: int) -> list[int]:
+    """Coprime moduli, the fewest whose product exceeds 2 * bound.
+
+    Each is the largest m below the one before that is coprime to all before
+    and has d * (m - 1)**2 < 2**63.  Products of d x d residue matrices then
+    sum in int64 without overflow, and two integer matrices with entries in
+    [-bound, bound] are equal exactly when they agree modulo every modulus
+    (Chinese remainder theorem).
+    """
+    moduli: list[int] = []
+    m = isqrt((2**63 - 1) // d) + 1
+    while prod(moduli) <= 2 * bound:
+        while gcd(m, prod(moduli)) > 1:
+            m -= 1
+        moduli.append(m)
+        m -= 1
+    return moduli
+
+
+def _decode(residues: np.ndarray, moduli: list[int]) -> np.ndarray:
+    """Centred integers of (N, k, e) residue rows modulo k coprime moduli, as (N, e).
+
+    Mixed-radix (Garner) digits are formed in int64; they are combined by
+    Horner's rule, which stays int64 for one modulus and is Python ints past it.
+    """
+    digits: list[np.ndarray] = []
+    for i, m in enumerate(moduli):
+        x = residues[:, i]
+        for q, digit in zip(moduli, digits):
+            x = (x - digit % m) * pow(q, -1, m) % m
+        digits.append(x)
+    value = digits[-1]
+    for q, digit in zip(moduli[-2::-1], digits[-2::-1]):
+        value = value.astype(object, copy=False) * q + digit
+    m = prod(moduli)
+    return np.where(value > m // 2, value - m, value)
 
 
 def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
     """Breadth-first search in label order; stops at an empty sphere.
 
     Elements are numbered in first-occurrence order, so each sphere is
-    ordered by shortlex-least geodesic words.  Each sphere times every
-    generator is one exact object-dtype ``np.matmul``; products are matched
-    to known elements, and new ones numbered, by C-level passes over keys.
+    ordered by shortlex-least geodesic words.  Elements are held as residues
+    modulo k coprime moduli, with k fixed before the search by the bound
+    N**radius on every entry, N the largest max-row-sum norm of a generator;
+    so the residues tell elements apart exactly.  Each sphere times every
+    generator is one int64 ``np.matmul``, reduced modulo the moduli.  A
+    product lies in the sphere before, the sphere itself or the next one (the
+    generators are closed under inverses), so one ``np.unique`` over those
+    rows matches the products to known elements and numbers the new ones by
+    first occurrence.
     """
     check_integer(radius, "radius")
     d, n_gens = system.dim, len(system.matrices)
-    gens = np.array([m.rows for m in system.matrices], dtype=object)
-    ident = sum(GroupMatrix.identity(d).rows, ())
-    ball = CayleyBall([ident], [0], [], [0, 1])
-    elements, depth, nbrs, bounds = ball
-    index = {ident: 0}
+    norm = max(sum(map(abs, row)) for m in system.matrices for row in m.rows)
+    moduli = _moduli(d, norm**radius)
+    k, width = len(moduli), len(moduli) * d * d
+    mods = np.array(moduli, dtype=np.int64).reshape(k, 1, 1)
+    gens = np.array(
+        [[[[v % q for v in row] for row in m.rows] for q in moduli] for m in system.matrices],
+        dtype=np.int64,
+    )
+    void = np.dtype((np.void, 8 * width))  # a residue row as one sortable value
+    ident = np.tile(np.eye(d, dtype=np.int64).ravel(), k).reshape(1, width)
+    spheres = [ident[:0], ident]  # residue rows sphere by sphere, after an empty sphere -1
+    nbrs = [np.empty((0, n_gens), dtype=np.intp)]
+    bounds = [0, 1]
     for n in range(1, radius + 1):
-        sphere = np.array(elements[bounds[n - 1] : bounds[n]], dtype=object).reshape(-1, 1, d, d)
-        keys = list(map(tuple, (sphere @ gens).reshape(-1, d * d).tolist()))  # (g, label) order
-        new = dict.fromkeys(filterfalse(index.__contains__, keys))
-        index.update(zip(new, range(len(elements), len(elements) + len(new))))
-        elements += new
-        depth += [n] * len(new)
-        nbrs += zip(*[map(index.__getitem__, keys)] * n_gens)
-        bounds.append(len(elements))
+        products = (spheres[-1].reshape(-1, 1, k, d, d) @ gens) % mods  # (g, label) order
+        rows = np.concatenate([spheres[-2], spheres[-1], products.reshape(-1, width)])
+        keys = rows.view(void).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # classes in first-occurrence order: the known rows, elements bounds[n] - known
+        # onwards, keep their index, and the new elements follow from bounds[n]
+        known = len(spheres[-2]) + len(spheres[-1])
+        order = np.argsort(first)
+        index = np.empty_like(order)
+        index[order] = np.arange(bounds[n] - known, bounds[n] - known + len(order))
+        nbrs.append(index[inverse[known:]].reshape(-1, n_gens))
+        spheres.append(rows[first[order[known:]]])
+        bounds.append(bounds[n] + len(order) - known)
         if bounds[n + 1] == bounds[n]:
             break
-    return ball
+    elements = _decode(np.concatenate(spheres).reshape(-1, k, d * d), moduli)
+    depth = np.repeat(np.arange(len(bounds) - 1, dtype=np.intp), np.diff(bounds))
+    return CayleyBall(elements, depth, np.concatenate(nbrs), bounds)
 
 
 def _sphere_sizes(bounds: list[int], radius: int) -> tuple[int, ...]:
@@ -232,8 +294,6 @@ def build_cone_type_combing(
             f"the group ball stops growing before radius {radius}"
         )
 
-    nbrs = np.array(nbrs, dtype=np.intp)
-    depth = np.array(depth, dtype=np.intp)
     geo = depth[nbrs] == depth[: len(nbrs), None] + 1  # geo[g, j]: label j is one step longer
     ids = np.zeros(len(depth), dtype=np.intp)  # every element's cone of depth 0 is empty
     for level in range(1, lookahead + 1):
@@ -458,7 +518,8 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     failure in that order.  A path whose word runs past the table's rows
     spells more letters than it has edges.
     """
-    depth, nbrs, bounds = cayley_ball(graph.system, radius)[1:]
+    ball = cayley_ball(graph.system, radius)
+    depth, nbrs, bounds = ball.depth.tolist(), ball.nbrs.tolist(), ball.bounds
     col = {s: j for j, s in enumerate(graph.system.labels)}
     seen: dict[int, tuple[str, ...]] = {}
     injective = True

@@ -54,6 +54,16 @@ def free_system(m: int) -> GeneratorSystem:
     )
 
 
+def as_system(entry) -> GeneratorSystem:
+    """A listed system, or the system of the shipped preset an entry names.
+
+    The system lists below name the shipped presets instead of building them at
+    import, so a preset whose build fails fails the tests that draw it one by
+    one, not the collection of this module.
+    """
+    return preset(entry).system if isinstance(entry, str) else entry
+
+
 def small_growth_graph():
     system = sanov_system()
     return GraphStructure(
@@ -120,21 +130,21 @@ def word_ball(system: GeneratorSystem, radius: int) -> list[list[GroupMatrix]]:
 def nested_ball(system: GeneratorSystem, radius: int):
     """Word length of each element of the Cayley ball, and the ball by spheres.
 
-    Elements are the ball's flat keys re-nested into row tuples
+    Elements are the ball's row-major entry rows re-nested into row tuples
     (``GroupMatrix.rows``), in breadth-first order.
     """
     elements, depth, _, b = cayley_ball(system, radius)
-    rows = [tuple(zip(*[iter(g)] * system.dim)) for g in elements]
-    return dict(zip(rows, depth)), [rows[b[n] : b[n + 1]] for n in range(len(b) - 1)]
+    rows = [tuple(zip(*[iter(g)] * system.dim)) for g in elements.tolist()]
+    return dict(zip(rows, depth.tolist())), [rows[b[n] : b[n + 1]] for n in range(len(b) - 1)]
 
 
-BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + [
-    preset(name).system for name in preset_names()
-] + [GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))])]
+BALL_SYSTEMS = [free_system(m) for m in (2, 3, 4, 5)] + list(preset_names()) + [
+    GeneratorSystem.from_pairs([("a", "a", ((-1, 0), (0, -1)))])
+]
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(BALL_SYSTEMS), st.integers(0, 5))
+@given(st.sampled_from(BALL_SYSTEMS).map(as_system), st.integers(0, 5))
 def test_cayley_ball_matches_word_oracle(system, radius):
     dist, spheres = nested_ball(system, radius)
     want = word_ball(system, radius)
@@ -173,22 +183,35 @@ def product_loop_ball(system: GeneratorSystem, radius: int):
     return elements, depth, nbrs, bounds
 
 
-# Shears far past int64, the d=3 involutions, finite cyclic groups of order
-# 4 and 6 (the ball stops early) and a d=1 system.
-PRODUCT_LOOP_SYSTEMS = [free_system(m) for m in (2, 3, 2**31, 2**63, 2**70)] + [
-    preset("dinf_involutions").system,
+# The largest m with 2 (m - 1)**2 < 2**63, the first modulus of every d = 2
+# ball: the shear m = P is the identity modulo P.
+P = 2**31
+# Shears far past int64 and the shear m = P, a d=3 system with entries past
+# 2**31, the d=3 involutions, finite cyclic groups of order 4 and 6 (the ball
+# stops early) and a d=1 system.
+PRODUCT_LOOP_SYSTEMS = [free_system(m) for m in (2, 3, P, 2**63, 2**70)] + [
+    GeneratorSystem.from_pairs([
+        ("a", "A", ((1, 2**40, 0), (0, 1, 0), (0, 0, 1))),
+        ("b", "B", ((1, 0, 0), (2**33, 1, 0), (2**33, 0, 1))),
+    ]),
+    "dinf_involutions",
     GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 0)))]),
     GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 1)))]),
     GeneratorSystem.from_pairs([("a", "A", ((1,),))]),
 ]
 
 
+def ball_lists(ball):
+    """(depth, nbrs, bounds) of a Cayley ball as the product loop's lists."""
+    return ball.depth.tolist(), list(map(tuple, ball.nbrs.tolist())), ball.bounds
+
+
 @settings(max_examples=100)
-@given(st.sampled_from(PRODUCT_LOOP_SYSTEMS), st.integers(0, 7))
+@given(st.sampled_from(PRODUCT_LOOP_SYSTEMS).map(as_system), st.integers(0, 7))
 def test_cayley_ball_equals_the_product_loop(system, radius):
     elements, depth, nbrs, bounds = product_loop_ball(system, radius)
     ball = cayley_ball(system, radius)
-    assert (ball.depth, ball.nbrs, ball.bounds) == (depth, nbrs, bounds)
+    assert ball_lists(ball) == (depth, nbrs, bounds)
     spheres = [elements[bounds[n] : bounds[n + 1]] for n in range(len(bounds) - 1)]
     assert repr(nested_ball(system, radius)) == repr((dict(zip(elements, depth)), spheres))
     padded = [len(s) for s in spheres] + [0] * (radius + 1 - len(spheres))
@@ -196,6 +219,28 @@ def test_cayley_ball_equals_the_product_loop(system, radius):
     # the geodesic check reads the same sphere sizes, zeros past a ball that stops
     loops = GraphStructure(system, 1, 0, tuple(Edge(0, 0, (s,)) for s in system.labels))
     assert verify_geodesic(loops, radius).bfs_counts == tuple(padded)
+
+
+@pytest.mark.parametrize(
+    "system, radius, bounds",
+    [
+        # both generators are the identity modulo P: one modulus merges the ball to [0, 1, 1]
+        (free_system(P), 4, [0, 1, 5, 17, 53, 161]),
+        # a = b modulo P while max|entry| < P < 2 max|entry|: a bound without its
+        # factor 2 takes one modulus and merges a with b
+        (GeneratorSystem.from_pairs([
+            ("a", "A", ((1, P // 2 + 1), (0, 1))), ("b", "B", ((1, 1 - P // 2), (0, 1)))
+        ]), 1, [0, 1, 5]),
+    ],
+    ids=["shear-p", "half-p"],
+)
+def test_cayley_ball_takes_enough_moduli_to_keep_elements_apart(system, radius, bounds):
+    assert combing._moduli(2, 1) == [P]
+    elements, depth, nbrs, want = product_loop_ball(system, radius)
+    ball = cayley_ball(system, radius)
+    assert want == bounds
+    assert ball_lists(ball) == (depth, nbrs, bounds)
+    assert [tuple(zip(*[iter(g)] * 2)) for g in ball.elements.tolist()] == elements
 
 
 def test_cayley_ball_memory_is_bounded():
@@ -212,6 +257,24 @@ def test_cayley_ball_memory_is_bounded():
     assert ball.bounds[-1] == 13121
     assert kept <= 3.0 * 2**20
     assert peak <= 4.5 * 2**20
+
+
+def test_cayley_ball_keeps_one_array_row_per_element():
+    # The ball of free2_sanov at radius 8 as int64 arrays: 13,121 entry rows
+    # and depths and 4,373 neighbour rows, 0.64 MiB; at most 1.0 MiB kept, so
+    # no per-element Python object comes back.  One row per element is what
+    # the benchmark's combing.cayley_elements_per_s counts.
+    system = preset("free2_sanov").system
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ball = cayley_ball(system, 8)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ball[0]) == ball.bounds[-1] == 13121
+    assert ball.depth.dtype == ball.nbrs.dtype == np.intp
+    assert kept <= 1.0 * 2**20
 
 
 def test_enumerated_words_are_exactly_reduced_words(symbolic_graph, sanov):
@@ -380,7 +443,7 @@ def word_set_cone_types(system: GeneratorSystem, radius: int, lookahead: int) ->
     """
     if radius <= lookahead:
         raise RadiusExhaustedError(f"radius {radius} leaves no room below lookahead {lookahead}")
-    depth, nbrs, bounds = cayley_ball(system, radius)[1:]
+    depth, nbrs, bounds = ball_lists(cayley_ball(system, radius))
     depth_cap = radius - lookahead
     if bounds[-1] == bounds[-2]:
         raise RadiusExhaustedError(
@@ -425,9 +488,7 @@ def word_set_cone_types(system: GeneratorSystem, radius: int, lookahead: int) ->
 
 # Shears up to 2**63, the shipped systems, the SL2(Z) pair, the cyclic
 # groups of order 4, 6 and 2 (the ball stops early) and a d=1 system.
-CONE_SYSTEMS = [free_system(m) for m in (2, 3, 4, 2**63)] + [
-    preset(name).system for name in preset_names()
-] + [
+CONE_SYSTEMS = [free_system(m) for m in (2, 3, 4, 2**63)] + list(preset_names()) + [
     SL2_PAIR,
     GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 0)))]),
     GeneratorSystem.from_pairs([("r", "R", ((0, -1), (1, 1)))]),
@@ -445,7 +506,7 @@ def _outcome(build, *args):
 
 
 @settings(max_examples=200)
-@given(st.sampled_from(CONE_SYSTEMS), st.integers(1, 8), st.integers(1, 3))
+@given(st.sampled_from(CONE_SYSTEMS).map(as_system), st.integers(1, 8), st.integers(1, 3))
 @example(free_system(3), 8, 3)
 @example(SL2_PAIR, 8, 2)
 def test_cone_types_equal_the_word_set_loop(system, radius, lookahead):
