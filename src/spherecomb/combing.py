@@ -13,10 +13,12 @@ matrix representation by breadth-first search.  Only the search multiplies:
 it holds elements as int64 residues modulo as many coprime moduli as the
 radius needs to tell them apart, multiplies each sphere by all generators
 in one ``np.matmul``, and matches the products to known elements by one
-``np.unique`` per sphere.  So each Cayley-graph product is made once; the
-cone types and the geodesic check read its neighbour table.  Cone types are
-integer ids, refined one lookahead level at a time by ``np.unique`` over the
-table's rows; neither they nor the search loop over elements in Python.  The
+call of the row classifier :func:`_row_classes` per sphere, which sorts
+integer keys.  So each Cayley-graph product is made once; the cone types
+and the geodesic check read its neighbour table.  Cone types are integer
+ids, refined one lookahead level at a time by the same classifier over the
+table's rows, and the geodesic check extends all paths of a level at once
+as arrays; none of them loops over elements or paths in Python.  The
 shipped presets are built by these two constructions, which give equal
 graphs for the Sanov generators.
 
@@ -159,6 +161,44 @@ class CayleyBall(NamedTuple):
     bounds: list[int]  # sphere n is elements[bounds[n]:bounds[n + 1]]
 
 
+def _ranks(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ranks of a 1-d integer key, its argsort order, and run starts.
+
+    ``new[i]`` is whether ``key[order[i]]`` starts a run of equal values.
+    """
+    order = key.argsort()
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = new.cumsum() - 1
+    return rank, order, new
+
+
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of equal rows of an (M, w) integer array with entries in [0, 2**32).
+
+    Returns (first, inverse): ``first[c]`` is the index of the first row of
+    class c and ``inverse[i]`` the class of row i; the classes come in no
+    particular order.  Entries are packed two to a uint64 key, exactly; each
+    key column is replaced by its dense rank, and the ranks are combined
+    column by column as ``ids * n + rank`` (below M**2) and ranked again.
+    Every rank is one unstable ``argsort`` of integers, so ``first`` is the
+    least row index of each run of equal sorted keys.
+    """
+    assert len(rows) < 2**31, "combined ranks must stay below 2**62"
+    x = rows.T.astype(np.uint64)
+    keys = [x[j] << 32 | x[j + 1] for j in range(0, len(x) - 1, 2)]
+    if len(x) % 2:
+        keys.append(x[-1])
+    ids, order, new = _ranks(keys[0])
+    for key in keys[1:]:
+        rank, _, runs = _ranks(key)
+        ids, order, new = _ranks(ids * runs.sum() + rank)
+    return np.minimum.reduceat(order, new.nonzero()[0]), ids
+
+
 def _moduli(d: int, bound: int) -> list[int]:
     """Coprime moduli, the fewest whose product exceeds 2 * bound.
 
@@ -181,20 +221,28 @@ def _moduli(d: int, bound: int) -> list[int]:
 def _decode(residues: np.ndarray, moduli: list[int]) -> np.ndarray:
     """Centred integers of (N, k, e) residue rows modulo k coprime moduli, as (N, e).
 
-    Mixed-radix (Garner) digits are formed in int64; they are combined by
-    Horner's rule, which stays int64 for one modulus and is Python ints past it.
+    For one modulus the residue is the value, centred in int64.  Past it each
+    distinct row of an entry's k residues is decoded once, by mixed-radix
+    (Garner) digits in int64 combined by Horner's rule in Python ints, and the
+    values are gathered back to the entries.
     """
-    digits: list[np.ndarray] = []
-    for i, m in enumerate(moduli):
-        x = residues[:, i]
-        for q, digit in zip(moduli, digits):
-            x = (x - digit % m) * pow(q, -1, m) % m
-        digits.append(x)
-    value = digits[-1]
-    for q, digit in zip(moduli[-2::-1], digits[-2::-1]):
-        value = value.astype(object, copy=False) * q + digit
+    n, k, e = residues.shape
     m = prod(moduli)
-    return np.where(value > m // 2, value - m, value)
+    if k == 1:
+        value = residues[:, 0]
+        return np.where(value > m // 2, value - m, value)
+    rows = residues.transpose(0, 2, 1).reshape(-1, k)  # one row of k residues per entry
+    first, inverse = _row_classes(rows)
+    digits: list[np.ndarray] = []
+    for i, p in enumerate(moduli):
+        x = rows[first, i]
+        for q, digit in zip(moduli, digits):
+            x = (x - digit % p) * pow(q, -1, p) % p
+        digits.append(x)
+    value = digits[-1].astype(object)
+    for q, digit in zip(moduli[-2::-1], digits[-2::-1]):
+        value = value * q + digit
+    return np.where(value > m // 2, value - m, value)[inverse].reshape(n, e)
 
 
 def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
@@ -207,9 +255,9 @@ def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
     so the residues tell elements apart exactly.  Each sphere times every
     generator is one int64 ``np.matmul``, reduced modulo the moduli.  A
     product lies in the sphere before, the sphere itself or the next one (the
-    generators are closed under inverses), so one ``np.unique`` over those
-    rows matches the products to known elements and numbers the new ones by
-    first occurrence.
+    generators are closed under inverses), so one :func:`_row_classes` over
+    those rows matches the products to known elements; the new ones are
+    numbered by first occurrence.
     """
     check_integer(radius, "radius")
     d, n_gens = system.dim, len(system.matrices)
@@ -221,7 +269,6 @@ def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
         [[[[v % q for v in row] for row in m.rows] for q in moduli] for m in system.matrices],
         dtype=np.int64,
     )
-    void = np.dtype((np.void, 8 * width))  # a residue row as one sortable value
     ident = np.tile(np.eye(d, dtype=np.int64).ravel(), k).reshape(1, width)
     spheres = [ident[:0], ident]  # residue rows sphere by sphere, after an empty sphere -1
     nbrs = [np.empty((0, n_gens), dtype=np.intp)]
@@ -229,8 +276,7 @@ def cayley_ball(system: GeneratorSystem, radius: int) -> CayleyBall:
     for n in range(1, radius + 1):
         products = (spheres[-1].reshape(-1, 1, k, d, d) @ gens) % mods  # (g, label) order
         rows = np.concatenate([spheres[-2], spheres[-1], products.reshape(-1, width)])
-        keys = rows.view(void).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = _row_classes(rows)
         # classes in first-occurrence order: the known rows, elements bounds[n] - known
         # onwards, keep their index, and the new elements follow from bounds[n]
         known = len(spheres[-2]) + len(spheres[-1])
@@ -271,10 +317,10 @@ def build_cone_type_combing(
     to depth L - 1 of gs) over the labels s with |gs| = |g| + 1.  So the
     types are computed level by level as integer ids: at level L, each
     element of depth <= radius - L gets the id of its row of depth L - 1
-    ids over the labels, -1 for a label that is not one step longer.
-    States are numbered in order of first occurrence in breadth-first
-    order, and each state's edges are the geodesic steps of its first
-    element.
+    ids over the labels, -1 for a label that is not one step longer; equal
+    rows are found by :func:`_row_classes`.  States are numbered in order
+    of first occurrence in breadth-first order, and each state's edges are
+    the geodesic steps of its first element.
 
     The result is self-checked: its path counts from the start must
     reproduce the Cayley sphere counts for all n <= radius - lookahead,
@@ -286,7 +332,7 @@ def build_cone_type_combing(
         raise RadiusExhaustedError(
             f"radius {radius} leaves no room below lookahead {lookahead}"
         )
-    depth, nbrs, bounds = cayley_ball(system, radius)[1:]  # drop the elements before the search
+    depth, nbrs, bounds = cayley_ball(system, radius)[1:]  # cone types read no entries
     depth_cap = radius - lookahead
     if bounds[-1] == bounds[-2]:
         raise RadiusExhaustedError(
@@ -299,8 +345,7 @@ def build_cone_type_combing(
     for level in range(1, lookahead + 1):
         n = bounds[radius - level + 1]  # the elements of depth <= radius - level
         rows = np.where(geo[:n], ids[nbrs[:n]], -1)  # (label, cone one level shallower) or -1
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+        first, ids = _row_classes(rows + 1)
     # states numbered in order of first occurrence, as in breadth-first order
     order = np.argsort(first)
     rep = first[order]  # element index of each state's first occurrence
@@ -512,58 +557,95 @@ def verify_geodesic(graph: GraphStructure, radius: int) -> GeodesicReport:
     two paths may evaluate to the same element.  Together with equality of
     sphere counts this certifies the combing property up to the radius.
 
-    Paths are extended one level at a time, in path-lexicographic order (the
-    order of :func:`enumerate_paths`), through the neighbour table of the
-    Cayley ball, so no product is recomputed; the witness is the first
-    failure in that order.  A path whose word runs past the table's rows
-    spells more letters than it has edges.
+    All paths of a level are extended at once, as arrays in path-lexicographic
+    order (the order of :func:`enumerate_paths`): through a CSR view of the
+    out-edges, then one gather from the neighbour table of the Cayley ball
+    per letter position of the edge words, so no product is recomputed.  A
+    path whose word runs past the table's rows spells more letters than it
+    has edges.  The checks then run once over the paths of all levels, in
+    (length, path) order: letters, then depth, then an earlier path on the
+    same element, read off one owner array over the ball's elements.  The
+    witness is the first failure in that order; its words are read back
+    through the parent pointers.
     """
     ball = cayley_ball(graph.system, radius)
-    depth, nbrs, bounds = ball.depth.tolist(), ball.nbrs.tolist(), ball.bounds
+    depth = ball.depth
+    # the neighbour table padded with rows of -1: for the elements past it, the last for index -1
+    table = np.full((len(depth) + 1, len(graph.system.labels)), -1, dtype=np.intp)
+    table[: len(ball.nbrs)] = ball.nbrs
     col = {s: j for j, s in enumerate(graph.system.labels)}
-    seen: dict[int, tuple[str, ...]] = {}
-    injective = True
-    length_preserving = True
-    witness: str | None = None
-    # one (vertex, element index or None, word) per path, in path-lexicographic order
-    level = [(graph.initial, 0, ())]
-    auto_counts = [1]
+    # vertex v's out-edges are out[start[v]:start[v + 1]]
+    out = np.array([i for o in graph.out_edges for i in o], dtype=np.intp)
+    start = np.cumsum([0] + [len(o) for o in graph.out_edges])
+    head = np.array([e.dst for e in graph.edges], dtype=np.intp)
+    size = np.array([len(e.word) for e in graph.edges], dtype=np.intp)
+    letters = np.full((len(size), size.max(initial=0)), -1, dtype=np.intp)  # -1 past a word
+    for i, e in enumerate(graph.edges):
+        letters[i, : len(e.word)] = [col[s] for s in e.word]
 
+    # per level and path: element index (-1 past the table), letters spelled,
+    # parent path and last edge; the levels' current vertices
+    elems, spells = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    parents, via = [None], [None]
+    vert = np.array([graph.initial], dtype=np.intp)
     for n in range(1, radius + 1):
-        grown = []
-        for v, g, word in level:
-            for ei in graph.out_edges[v]:
-                e = graph.edges[ei]
-                h = g
-                for s in e.word:
-                    h = nbrs[h][col[s]] if h is not None and h < len(nbrs) else None
-                grown.append((e.dst, h, word + e.word))
-        level = grown
-        auto_counts.append(len(level))
-        for _, g, word in level:
-            if len(word) != n:
-                # composite labels: a "length-n" path may spell a longer word
-                length_preserving = False
-                if witness is None:
-                    witness = f"path {''.join(word)} has {n} edges but spells {len(word)} letters"
-                continue
-            if depth[g] != n:
-                length_preserving = False
-                if witness is None:
-                    witness = f"word {''.join(word)} has word length {depth[g]}, not {n}"
-            if g in seen:
-                injective = False
-                if witness is None:
-                    witness = f"words {''.join(seen[g])} and {''.join(word)} evaluate equally"
-            else:
-                seen[g] = word
+        deg = start[vert + 1] - start[vert]
+        parent = np.repeat(np.arange(len(vert)), deg)
+        edge = out[np.arange(len(parent)) + np.repeat(start[vert] - np.cumsum(deg) + deg, deg)]
+        elem = elems[-1][parent]
+        for label in letters[edge].T:
+            elem = np.where(label >= 0, table[elem, label], elem)
+        elems.append(elem)
+        spells.append(spells[-1][parent] + size[edge])
+        parents.append(parent)
+        via.append(edge)
+        vert = head[edge]
+    auto_counts = [len(elem) for elem in elems]
+
+    # all paths in (length, path) order, the empty path first
+    level = np.repeat(np.arange(radius + 1), auto_counts)
+    base = np.cumsum(auto_counts) - auto_counts  # index of each level's first path
+    elem, spelled = np.concatenate(elems), np.concatenate(spells)
+    long = spelled != level  # composite labels: a "length-n" path may spell a longer word
+    idx = np.flatnonzero(~long)[1:]  # paths spelling one letter per edge, but the empty one
+    g = elem[idx]
+    owner = np.full(len(depth), len(elem), dtype=np.intp)  # each element's first path
+    np.minimum.at(owner, g, idx)
+    owner = owner[g]  # the first of these paths on the same element
+    off, repeat = depth[g] != level[idx], owner != idx
+    bad = long.copy()
+    bad[idx] = off | repeat
+    injective = not repeat.any()
+    length_preserving = not (long.any() or off.any())
+
+    def word(p: int) -> str:
+        """The letters of path p."""
+        n = int(level[p])
+        p -= base[n]
+        path = []
+        for k in range(n, 0, -1):
+            path.append(int(via[k][p]))
+            p = parents[k][p]
+        return "".join(graph.path_word(path[::-1]))
+
+    witness: str | None = None
+    if bad.any():
+        p = int(bad.argmax())
+        n, h = level[p], elem[p]
+        if long[p]:
+            witness = f"path {word(p)} has {n} edges but spells {spelled[p]} letters"
+        elif depth[h] != n:
+            witness = f"word {word(p)} has word length {depth[h]}, not {n}"
+        else:
+            seen = int(owner[np.searchsorted(idx, p)])
+            witness = f"words {word(seen)} and {word(p)} evaluate equally"
 
     return GeodesicReport(
         radius=radius,
         injective=injective,
         length_preserving=length_preserving,
         automaton_counts=tuple(auto_counts),
-        bfs_counts=_sphere_sizes(bounds, radius),
+        bfs_counts=_sphere_sizes(ball.bounds, radius),
         witness=witness,
     )
 

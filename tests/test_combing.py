@@ -43,7 +43,7 @@ from spherecomb.errors import (
 )
 from spherecomb import algebra, combing
 from spherecomb.algebra import GeneratorSystem
-from spherecomb.combing import cayley_ball
+from spherecomb.combing import GeodesicReport, cayley_ball
 from conftest import reduced_words, sanov_system
 
 
@@ -275,6 +275,61 @@ def test_cayley_ball_keeps_one_array_row_per_element():
     assert len(ball[0]) == ball.bounds[-1] == 13121
     assert ball.depth.dtype == ball.nbrs.dtype == np.intp
     assert kept <= 1.0 * 2**20
+
+
+def by_first_occurrence(first, inverse):
+    """(first, inverse) of a row partition with the classes renumbered by first row."""
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order].tolist(), rank[inverse].tolist()
+
+
+def void_unique_classes(rows):
+    """(first, inverse) of equal rows by ``np.unique`` over each row's bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+_EDGE_ENTRIES = (0, 1, 2**31 - 1, 2**31, 2**32 - 1)
+
+
+@st.composite
+def classifier_rows(draw):
+    """(M, w) int64 rows with entries in [0, 2**32), w in 1..33, from a few distinct rows.
+
+    Each distinct row after the first changes one or two adjacent entries of
+    an earlier one, to any entry or by flipping its lowest or highest bit, so
+    rows differ in single columns, single bits and packed pairs.
+    """
+    w = draw(st.integers(1, 33))
+    entry = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.integers(0, 2**32 - 1))
+    pool = [draw(st.lists(entry, min_size=w, max_size=w))]
+    for _ in range(draw(st.integers(0, 7))):
+        row = list(draw(st.sampled_from(pool)))
+        j = draw(st.integers(0, w - 1))
+        for i in range(j, min(j + draw(st.integers(1, 2)), w)):
+            row[i] = draw(st.one_of(entry, st.sampled_from([row[i] ^ 1, row[i] ^ 2**31])))
+        pool.append(row)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=300))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+@settings(max_examples=300)
+@given(classifier_rows(), st.booleans())
+@example(np.zeros((1, 1), dtype=np.int64), False)  # a single row
+@example(np.full((5, 33), 2**32 - 1, dtype=np.int64), True)  # all rows equal, odd width
+@example(np.array([[0] * 32 + [0], [0] * 32 + [1]] * 3, dtype=np.int64), False)  # last column
+@example(np.array([[0, 2**31], [1, 0]], dtype=np.int64), False)  # equal pairs at shift 31
+@example(np.array([[i % 3, 7] for i in range(400)], dtype=np.int64), True)  # long equal runs
+def test_row_classes_equal_unique_over_row_bytes(rows, cone):
+    if cone:  # cone-type ids in [-1, 2**32 - 1), shifted by +1 as the cone build does
+        rows = rows - 1
+    first, inverse = combing._row_classes(rows + 1 if cone else rows)
+    assert np.array_equal(rows[first[inverse]], rows)
+    assert by_first_occurrence(first, inverse) == by_first_occurrence(*void_unique_classes(rows))
 
 
 def test_enumerated_words_are_exactly_reduced_words(symbolic_graph, sanov):
@@ -668,6 +723,62 @@ def test_verify_geodesic_matches_brute_force(graph, radius):
     assert got == _brute_force_geodesic_check(graph, radius)
     assert rep.radius == radius
     assert (rep.witness is None) == (rep.injective and rep.length_preserving)
+
+
+def per_path_geodesic_report(graph: GraphStructure, radius: int):
+    """``verify_geodesic`` as it was written with one Python tuple per path.
+
+    Paths are extended level by level in path-lexicographic order, each
+    carrying its vertex, element index (None past the neighbour table) and
+    word; the witness is the first failure in that order.
+    """
+    depth, nbrs, bounds = ball_lists(cayley_ball(graph.system, radius))
+    col = {s: j for j, s in enumerate(graph.system.labels)}
+    seen = {}
+    injective = length_preserving = True
+    witness = None
+    level = [(graph.initial, 0, ())]
+    auto_counts = [1]
+    for n in range(1, radius + 1):
+        grown = []
+        for v, g, word in level:
+            for ei in graph.out_edges[v]:
+                e = graph.edges[ei]
+                h = g
+                for s in e.word:
+                    h = nbrs[h][col[s]] if h is not None and h < len(nbrs) else None
+                grown.append((e.dst, h, word + e.word))
+        level = grown
+        auto_counts.append(len(level))
+        for _, g, word in level:
+            if len(word) != n:
+                length_preserving = False
+                if witness is None:
+                    witness = f"path {''.join(word)} has {n} edges but spells {len(word)} letters"
+                continue
+            if depth[g] != n:
+                length_preserving = False
+                if witness is None:
+                    witness = f"word {''.join(word)} has word length {depth[g]}, not {n}"
+            if g in seen:
+                injective = False
+                if witness is None:
+                    witness = f"words {''.join(seen[g])} and {''.join(word)} evaluate equally"
+            else:
+                seen[g] = word
+    bfs = tuple(bounds[n + 1] - bounds[n] if n + 1 < len(bounds) else 0 for n in range(radius + 1))
+    return GeodesicReport(radius, injective, length_preserving, tuple(auto_counts), bfs, witness)
+
+
+@settings(max_examples=150)
+@given(_sanov_automata(), st.integers(0, 7))
+@example(  # "aaA" fails its depth and repeats "a": the depth witness comes first
+    GraphStructure(sanov_system(), 4, 0, (Edge(0, 1, ("a",)), Edge(1, 2, ("a",)), Edge(2, 3, ("A",)))),
+    3,
+)
+def test_verify_geodesic_equals_the_per_path_loop(graph, radius):
+    assume(sum(sphere_counts(graph, radius)) <= 20000)
+    assert repr(verify_geodesic(graph, radius)) == repr(per_path_geodesic_report(graph, radius))
 
 
 def _seeded_automata(seed: int, count: int):
